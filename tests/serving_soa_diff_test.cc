@@ -87,6 +87,8 @@ struct DiffCase
     ServingOptions opt;
     llm::SpeculativeConfig spec;
     StaticBatchMode mode;
+    /** Per-iteration cost transform (tensor-parallel group). */
+    IterationCostModel cost;
     double rateRps = 100.0;
     std::uint32_t count = 48;
     std::uint64_t streamSeed = 7;
@@ -118,8 +120,8 @@ runLockstepImpl(const DiffCase &c, ServingResult *out)
         opt.kvCapacityOverrideBytes = llm::kvPoolBytesPerDevice(
             model, c.poolTokens, cfg.numAttnDevices);
 
-    ServingSim soa(papi, c.spec, model, opt, {}, {}, c.mode);
-    refimpl::ReferenceServingSim ref(papi, c.spec, model, opt, {},
+    ServingSim soa(papi, c.spec, model, opt, c.cost, {}, c.mode);
+    refimpl::ReferenceServingSim ref(papi, c.spec, model, opt, c.cost,
                                      {}, c.mode);
     for (const auto &tr : reqs) {
         soa.deliver(tr);
@@ -321,6 +323,49 @@ TEST(SoaDiff, StaticBatch)
     c.rateRps = 1e9; // everything effectively arrives together
     c.count = 16;
     runLockstep(c);
+}
+
+TEST(SoaDiff, TensorParallelCost)
+{
+    // A non-trivial cost model is where monolithic and chunked
+    // prefill differ in floating-point association (the comm term
+    // of the breakdown, the fabric-energy token count), so pin both
+    // prefill modes, with and without KV preemption.
+    const std::uint32_t chunks[] = {0, 64};
+    for (std::uint32_t chunk : chunks) {
+        for (bool preempt : {false, true}) {
+            DiffCase c;
+            c.name = "tensor-parallel cost chunk=" +
+                     std::to_string(chunk) +
+                     (preempt ? " preempt" : "");
+            c.opt.maxRlp = 12;
+            c.opt.prefillChunkTokens = chunk;
+            c.cost.computeScale = 2.0;
+            c.cost.extraSeconds = [](std::uint32_t tokens) {
+                return 3e-5 + 1e-8 * static_cast<double>(tokens);
+            };
+            c.cost.extraJoules = [](std::uint32_t tokens) {
+                return 0.02 + 1e-5 * static_cast<double>(tokens);
+            };
+            c.rateRps = 150.0;
+            c.count = 40;
+            c.streamSeed = 23;
+            if (preempt) {
+                c.opt.preemptOnKvPressure = true;
+                c.opt.preemptPolicy = KvPreemptPolicy::Recompute;
+                c.cat = llm::TraceCategory::CreativeWriting;
+                c.poolTokens = 2048;
+                c.rateRps = 300.0;
+                c.count = 24;
+                c.streamSeed = 11;
+            }
+            const ServingResult r = runLockstep(c);
+            if (preempt) {
+                EXPECT_GT(r.preemptions, 0u)
+                    << "case exercised no evictions";
+            }
+        }
+    }
 }
 
 TEST(SoaDiff, SeededGridFuzz)
