@@ -13,12 +13,15 @@
  *  - Disaggregated prefill handoffs shrink by exactly the hit
  *    blocks (same per-request kvTokens, fewer kvBlocks/kvBytes).
  *  - Under KV pressure, cached blocks are evicted (accounted in
- *    prefixEvictedBytes) before requests are preempted.
+ *    prefixEvictedBytes) before requests are preempted, and the
+ *    ledger of a pressured run is pinned against golden values
+ *    (the KV grow order of each prefill mode).
  */
 
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
 
 #include "core/serving_engine.hh"
 #include "core/serving_reference.hh"
@@ -288,6 +291,48 @@ TEST(ServingPrefix, PressureEvictsCacheDeterministically)
     expectResultsEqual(a.result, b.result);
     EXPECT_EQ(a.result.prefixEvictedBytes,
               b.result.prefixEvictedBytes);
+}
+
+/**
+ * KV grow order under preemption, pinned by golden values. Chunked
+ * prefill grows each decoder's KV inside the advance loop, before
+ * the next request retires; monolithic prefill grows the survivors
+ * in one bulk pass after the retirees released. A finishing
+ * request's last growth can reclaim a cached prefix that the
+ * release-first order keeps, so swapping either order moves the
+ * prefix-cache ledger below. The lockstep reference has no prefix
+ * cache, so these values are the pin.
+ */
+TEST(ServingPrefix, PreemptGrowOrderGolden)
+{
+    const PlatformConfig cfg = makePapiConfig();
+    const llm::ModelConfig model = llm::llama65b();
+    const auto reqs =
+        stream(llm::TraceCategory::LongContextRag, 2.0, 600, 23);
+    struct Golden
+    {
+        std::uint32_t chunk;
+        std::uint64_t evictedBytes;
+        std::uint64_t hitTokens;
+    };
+    const Golden goldens[] = {
+        {0, 457304965120u, 449456u},
+        {64, 446273945600u, 451248u},
+    };
+    for (const Golden &g : goldens) {
+        SCOPED_TRACE("chunk=" + std::to_string(g.chunk));
+        ServingOptions opt;
+        opt.maxRlp = 16;
+        opt.prefillChunkTokens = g.chunk;
+        opt.prefixCacheEnabled = true;
+        opt.preemptOnKvPressure = true;
+        opt.kvCapacityOverrideBytes = llm::kvPoolBytesPerDevice(
+            model, 8192, cfg.numAttnDevices);
+        const RunOutput r = runSim(opt, reqs);
+        EXPECT_EQ(r.records.size(), reqs.size());
+        EXPECT_EQ(r.result.prefixEvictedBytes, g.evictedBytes);
+        EXPECT_EQ(r.result.prefixHitTokens, g.hitTokens);
+    }
 }
 
 } // namespace
