@@ -92,6 +92,10 @@ ServingSim::ServingSim(const Platform &platform,
         sim::fatal("ServingSim: deadlines/load shedding are "
                    "serving-path features; static-batch (decode) "
                    "runs admit the whole batch once");
+    if (_static.enabled && !_cost.trivial())
+        sim::fatal("ServingSim: tensor-parallel cost models are a "
+                   "serving-path feature; static-batch (decode) "
+                   "runs hide phase overlap on a single platform");
     _kvBlockTokens = _kv.blockTokens();
     _prefillLens.reserve(options.maxRlp);
     _hitPrior.reserve(options.maxRlp);
@@ -366,6 +370,27 @@ ServingSim::scaledSeconds(double kernel_seconds, double other_seconds,
     return seconds;
 }
 
+void
+ServingSim::chargePrefill(const KernelExec &pre,
+                          const std::vector<std::uint32_t> &lens)
+{
+    double pre_seconds = pre.seconds;
+    double pre_joules = pre.energyJoules;
+    if (!_cost.trivial()) {
+        std::uint64_t prompt_tokens = 0;
+        for (std::uint32_t len : lens)
+            prompt_tokens += len;
+        const auto tokens = static_cast<std::uint32_t>(prompt_tokens);
+        pre_seconds = scaledSeconds(pre.seconds, 0.0, tokens);
+        if (_cost.extraJoules)
+            pre_joules += _cost.extraJoules(tokens);
+    }
+    _now += pre_seconds;
+    _busySeconds += pre_seconds;
+    _breakdown.prefillSeconds += pre_seconds;
+    _out.energyJoules += pre_joules;
+}
+
 std::uint32_t
 ServingSim::admit()
 {
@@ -615,51 +640,19 @@ ServingSim::admit()
     }
     if (admitted > 0 && _static.enabled)
         _staticInitialRlp = admitted;
+    // Prefill the newcomers before the next decode step.
     if (!_prefillLens.empty() &&
-        (!_static.enabled || _static.includePrefill)) {
-        // Prefill the newcomers before the next decode step.
-        KernelExec pre = _platform.prefillExec(_model, _prefillLens);
-        double pre_seconds = pre.seconds;
-        double pre_joules = pre.energyJoules;
-        if (!_cost.trivial()) {
-            std::uint64_t prompt_tokens = 0;
-            for (std::uint32_t len : _prefillLens)
-                prompt_tokens += len;
-            const auto tokens =
-                static_cast<std::uint32_t>(prompt_tokens);
-            pre_seconds = scaledSeconds(pre.seconds, 0.0, tokens);
-            if (_cost.extraJoules)
-                pre_joules += _cost.extraJoules(tokens);
-        }
-        _now += pre_seconds;
-        _busySeconds += pre_seconds;
-        _breakdown.prefillSeconds += pre_seconds;
-        _out.energyJoules += pre_joules;
-    }
-    if (!_hitNow.empty()) {
-        // Prefix-hit newcomers (non-chunked mode): prefill only the
-        // uncached suffix, costed as an incremental prefill whose
-        // prior context is the cached span - the same arithmetic
-        // chunked prefill uses for its later chunks.
-        KernelExec pre =
-            _platform.prefillChunkExec(_model, _hitPrior, _hitNow);
-        double pre_seconds = pre.seconds;
-        double pre_joules = pre.energyJoules;
-        if (!_cost.trivial()) {
-            std::uint64_t now_tokens = 0;
-            for (std::uint32_t len : _hitNow)
-                now_tokens += len;
-            const auto tokens =
-                static_cast<std::uint32_t>(now_tokens);
-            pre_seconds = scaledSeconds(pre.seconds, 0.0, tokens);
-            if (_cost.extraJoules)
-                pre_joules += _cost.extraJoules(tokens);
-        }
-        _now += pre_seconds;
-        _busySeconds += pre_seconds;
-        _breakdown.prefillSeconds += pre_seconds;
-        _out.energyJoules += pre_joules;
-    }
+        (!_static.enabled || _static.includePrefill))
+        chargePrefill(_platform.prefillExec(_model, _prefillLens),
+                      _prefillLens);
+    // Prefix-hit newcomers (monolithic prefill): prefill only the
+    // uncached suffix, costed as an incremental prefill whose prior
+    // context is the cached span - the same arithmetic chunked
+    // prefill uses for its later chunks.
+    if (!_hitNow.empty())
+        chargePrefill(
+            _platform.prefillChunkExec(_model, _hitPrior, _hitNow),
+            _hitNow);
     if (swap_seconds > 0.0) {
         _now += swap_seconds;
         _busySeconds += swap_seconds;
@@ -751,38 +744,6 @@ ServingSim::stepIdle()
     }
 }
 
-ServingSim::IterationTiming
-ServingSim::iterationTiming(TargetId target, std::uint32_t tokens,
-                            std::uint32_t tlp) const
-{
-    syncGen();
-    _batch.refillCtx(_ctx);
-
-    IterationTiming t;
-    t.fc = _platform.fcExec(_model, tokens, target);
-    t.at = _platform.attnExec(_model, _ctx, tlp);
-    t.other = _platform.otherSeconds(_model);
-    if (_static.enabled) {
-        // The draft model's serial proposal pass (speculative
-        // decoding): charged as a fraction of the verification cost.
-        if (_spec.length > 1 && _spec.draftCostFraction > 0.0)
-            t.other += _spec.draftCostFraction *
-                       (t.fc.seconds + t.at.seconds);
-        // Kernels within a layer are dependent, so by default the
-        // phases serialize (FC -> attention -> FC ...). Platforms
-        // with sub-batch interleaving can hide a fraction of the
-        // shorter phase under the longer one.
-        t.hidden = _platform.config().phaseOverlapFraction *
-                   std::min(t.fc.seconds, t.at.seconds);
-    }
-    t.seconds =
-        _cost.trivial()
-            ? t.fc.seconds + t.at.seconds - t.hidden + t.other
-            : scaledSeconds(t.fc.seconds + t.at.seconds, t.other,
-                            tokens);
-    return t;
-}
-
 void
 ServingSim::planChunks(std::vector<std::uint32_t> &chunks) const
 {
@@ -805,14 +766,15 @@ ServingSim::IterationPlan
 ServingSim::planIteration() const
 {
     IterationPlan p;
-    planChunks(_chunkPlan);
     _chunkPrior.clear();
     _chunkNow.clear();
     const std::size_t n = _batch.size();
     const std::uint32_t tlp = _spec.length;
     std::uint32_t chunk_tokens = 0;
     std::uint64_t ctx_sum = 0;
-    const bool all_decoding = !_batch.anyPrefilling();
+    // Monolithic prefill admits requests fully prefilled, so its
+    // batch is always all-decoding and never pays the scan.
+    const bool all_decoding = !_chunked || !_batch.anyPrefilling();
     if (all_decoding) {
         // Steady-state fast path: everyone decodes, so the plan
         // inputs reduce to one vectorized context sum (_ctx itself
@@ -820,6 +782,7 @@ ServingSim::planIteration() const
         p.decodeRlp = static_cast<std::uint32_t>(n);
         ctx_sum = steadyCtxSum();
     } else {
+        planChunks(_chunkPlan);
         syncGen();
         _ctx.clear();
         const std::uint32_t *pre = _batch.prefillRemaining.data();
@@ -842,7 +805,6 @@ ServingSim::planIteration() const
     p.tokens = fcTokens(p.decodeRlp, tlp);
     p.chunkTokens = chunk_tokens;
     double kernel = 0.0;
-    double other = 0.0;
     if (p.decodeRlp > 0) {
         p.dispatched = true;
         const std::uint64_t key1 =
@@ -859,25 +821,42 @@ ServingSim::planIteration() const
                 syncGen();
                 _batch.refillCtx(_ctx);
             }
-            p.timing.fc = _platform.fcExec(_model, p.tokens,
-                                           p.decision.target);
-            p.timing.at = _platform.attnExec(_model, _ctx, tlp);
-            p.timing.other = _platform.otherSeconds(_model);
+            IterationTiming &t = p.timing;
+            t.fc = _platform.fcExec(_model, p.tokens,
+                                    p.decision.target);
+            t.at = _platform.attnExec(_model, _ctx, tlp);
+            t.other = _platform.otherSeconds(_model);
+            if (_static.enabled) {
+                // The draft model's serial proposal pass
+                // (speculative decoding): charged as a fraction of
+                // the verification cost.
+                if (_spec.length > 1 && _spec.draftCostFraction > 0.0)
+                    t.other += _spec.draftCostFraction *
+                               (t.fc.seconds + t.at.seconds);
+                // Kernels within a layer are dependent, so by
+                // default the phases serialize (FC -> attention ->
+                // FC ...). Platforms with sub-batch interleaving
+                // can hide a fraction of the shorter phase under
+                // the longer one.
+                t.hidden = _platform.config().phaseOverlapFraction *
+                           std::min(t.fc.seconds, t.at.seconds);
+            }
             e.key1 = key1;
             e.key2 = ctx_sum;
             e.decision = p.decision;
             e.timing = p.timing;
         }
-        other = p.timing.other;
         kernel = p.timing.fc.seconds + p.timing.at.seconds;
     }
     if (!_chunkNow.empty())
         p.chunk = _platform.prefillChunkExec(_model, _chunkPrior,
                                              _chunkNow);
     kernel += p.chunk.seconds;
+    // hidden is non-zero only in static mode, which the constructor
+    // restricts to the trivial cost model.
     p.seconds = _cost.trivial()
-                    ? kernel + other
-                    : scaledSeconds(kernel, other,
+                    ? kernel - p.timing.hidden + p.timing.other
+                    : scaledSeconds(kernel, p.timing.other,
                                     p.tokens + chunk_tokens);
     return p;
 }
@@ -887,36 +866,7 @@ ServingSim::refreshPlan() const
 {
     if (_planValid)
         return;
-    if (_chunked) {
-        _plan = planIteration();
-    } else {
-        const auto rlp = static_cast<std::uint32_t>(_batch.size());
-        const std::uint32_t tlp = _spec.length;
-        const std::uint32_t tokens = fcTokens(rlp, tlp);
-        const std::uint64_t ctx_sum = steadyCtxSum();
-        IterationPlan p;
-        p.decodeRlp = rlp;
-        p.tokens = tokens;
-        p.dispatched = true;
-        const std::uint64_t key1 =
-            (static_cast<std::uint64_t>(rlp) << 32) | tokens;
-        PlanMemoEntry &e = _planMemo[planMemoSlot(key1, ctx_sum)];
-        if (e.key1 == key1 && e.key2 == ctx_sum) {
-            p.decision = e.decision;
-            p.timing = e.timing;
-        } else {
-            p.decision = _fcDispatch.select(_model, rlp, tlp,
-                                            tokens);
-            p.timing =
-                iterationTiming(p.decision.target, tokens, tlp);
-            e.key1 = key1;
-            e.key2 = ctx_sum;
-            e.decision = p.decision;
-            e.timing = p.timing;
-        }
-        p.seconds = p.timing.seconds;
-        _plan = p;
-    }
+    _plan = planIteration();
     _planValid = true;
 }
 
@@ -1016,17 +966,6 @@ ServingSim::peekIterationSeconds() const
         sim::panic("ServingSim::peekIterationSeconds without a batch");
     refreshPlan();
     return _plan.seconds;
-}
-
-void
-ServingSim::stepDecode()
-{
-    if (_batch.empty())
-        sim::panic("ServingSim::stepDecode without a batch");
-    if (_chunked)
-        stepDecodeChunked();
-    else
-        stepDecodeLegacy();
 }
 
 void
@@ -1163,216 +1102,175 @@ ServingSim::advanceAndRetire(std::uint32_t accepted, bool release_kv)
 }
 
 void
-ServingSim::stepDecodeLegacy()
+ServingSim::stepDecode()
 {
-    // Per-iteration decisions are stateless threshold checks (so
-    // the plan a driver peeked is the plan executed here); RLP
-    // transitions in both directions are counted below.
+    if (_batch.empty())
+        sim::panic("ServingSim::stepDecode without a batch");
+    // Per-iteration decisions are stateless threshold checks, so the
+    // plan a driver peeked is the plan executed here. refreshPlan
+    // also refilled _chunkPlan (via planIteration), which the mixed
+    // loop below consumes; any mutation since a peek would have
+    // invalidated the cache.
     refreshPlan();
     const IterationPlan plan = _plan;
     _planValid = false;
-    const std::uint32_t rlp = plan.decodeRlp;
-    const std::uint32_t tokens = plan.tokens;
+    const IterationTiming &t = plan.timing;
     const TargetId target = plan.decision.target;
-    const bool rescheduled = noteDispatch(target);
+    const bool rescheduled = plan.dispatched && noteDispatch(target);
 
-    IterationTiming t = plan.timing;
-    const double iter_seconds = t.seconds;
-
-    // Per-component accounting. The overlap-hidden time executes
-    // under the longer phase, so the shorter phase's contributions
-    // shrink (compute first, then its communication share).
+    // Per-component accounting: decode FC/attention split, prompt
+    // chunks under prefill. The overlap-hidden time (static mode)
+    // executes under the longer phase, so the shorter phase's
+    // contributions shrink (compute first, then its communication
+    // share).
     double fc_part = t.fc.seconds - t.fc.commSeconds;
     double at_part = t.at.seconds - t.at.commSeconds;
     double comm_part = t.fc.commSeconds + t.at.commSeconds;
+    double chunk_part = plan.chunk.seconds;
     if (t.hidden > 0.0) {
         double &shorter =
             t.fc.seconds <= t.at.seconds ? fc_part : at_part;
-        double deduct = std::min(t.hidden, shorter);
+        const double deduct = std::min(t.hidden, shorter);
         shorter -= deduct;
         comm_part -= t.hidden - deduct;
     }
     // Under a tensor-parallel cost model the charged duration is the
     // scaled one; keep the breakdown in the same units (the group's
     // all-reduce counts as communication) so it still sums to the
-    // busy time.
-    if (!_cost.trivial()) {
-        fc_part /= _cost.computeScale;
-        at_part /= _cost.computeScale;
-        comm_part /= _cost.computeScale;
-        if (_cost.extraSeconds)
-            comm_part += _cost.extraSeconds(tokens);
-    }
-    _breakdown.fcSeconds += fc_part;
-    _breakdown.attnSeconds += at_part;
-    _breakdown.commSeconds += comm_part;
-    _breakdown.otherSeconds += t.other;
-
-    _rlpTimeIntegral += iter_seconds * rlp;
-    _busySeconds += iter_seconds;
-    _now += iter_seconds;
-    // Energy accumulation preserves each pre-fold loop's exact
-    // floating-point association: the decode loop added the device
-    // and host terms separately, the serving loop added one sum.
-    if (_static.enabled) {
-        _out.energyJoules += t.fc.energyJoules + t.at.energyJoules;
-        _out.energyJoules += t.other * kHostWatts;
-    } else {
-        double iter_joules = t.fc.energyJoules + t.at.energyJoules +
-                             t.other * kHostWatts;
-        if (!_cost.trivial() && _cost.extraJoules)
-            iter_joules += _cost.extraJoules(tokens);
-        _out.energyJoules += iter_joules;
-    }
-    ++_out.iterations;
-    ++_targetIters[target];
-    if (_targetIsGpu[target])
-        ++_out.fcOnGpuIterations;
-    else
-        ++_out.fcOnPimIterations;
-
-    if (!_static.enabled)
-        _out.peakKvUtilization = std::max(_out.peakKvUtilization,
-                                          _kv.utilization());
-
-    // Advance generation; retire finished requests.
-    const std::uint32_t accepted = _spec.sampleAccepted(_rng);
-    const std::uint32_t eos =
-        advanceAndRetire(accepted, !_static.enabled);
-
-    if (_preempt) {
-        // On-demand accounting: materialize the tokens this
-        // iteration appended (one bulk grow, ascending batch order
-        // - the same allocation sequence as per-request calls),
-        // then restore the next iteration's worst-case growth
-        // headroom (evicting if pressure hit).
-        const std::size_t n = _batch.size();
-        _growIdx.clear();
-        _growIds.clear();
-        _growTok.clear();
-        for (std::size_t i = 0; i < n; ++i) {
-            const std::uint32_t ctx = _batch.contextLen(i);
-            if (ctx > _batch.kvTokens[i]) {
-                _batch.kvTokens[i] = ctx;
-                _growIdx.push_back(i);
-                _growIds.push_back(_batch.id[i]);
-                _growTok.push_back(ctx);
-            }
-        }
-        if (!_growIds.empty()) {
-            _growBlocks.resize(_growIds.size());
-            _kv.growMany(_growIds.data(), _growTok.data(),
-                         _growBlocks.data(), _growIds.size());
-            for (std::size_t j = 0; j < _growIdx.size(); ++j)
-                _batch.kvBlocks[_growIdx[j]] = _growBlocks[j];
-        }
-        ensureKvHeadroom();
-        _out.peakKvUtilization = std::max(_out.peakKvUtilization,
-                                          _kv.utilization());
-    }
-
-    if (_static.recordTrace) {
-        IterationTrace tr;
-        tr.iteration = _out.iterations;
-        tr.rlp = rlp;
-        tr.tlp = _spec.length;
-        tr.estimatedAi = _dynamic ? plan.decision.estimatedAi : 0.0;
-        tr.targetId = target;
-        tr.fcTarget = _platform.legacyFcTarget(target);
-        tr.rescheduled = rescheduled;
-        tr.eosCount = eos;
-        tr.iterationSeconds = iter_seconds;
-        _trace.push_back(tr);
-    }
-}
-
-void
-ServingSim::stepDecodeChunked()
-{
-    // refreshPlan also refilled _chunkPlan (via planIteration),
-    // which the progress loop below consumes; any mutation since a
-    // peek would have invalidated the cache.
-    refreshPlan();
-    const IterationPlan plan = _plan;
-    _planValid = false;
-
-    if (plan.dispatched)
-        noteDispatch(plan.decision.target);
-
-    // Per-component accounting: decode FC/attention split as the
-    // legacy path does, prompt chunks under prefill.
-    double fc_part =
-        plan.timing.fc.seconds - plan.timing.fc.commSeconds;
-    double at_part =
-        plan.timing.at.seconds - plan.timing.at.commSeconds;
-    double comm_part =
-        plan.timing.fc.commSeconds + plan.timing.at.commSeconds;
-    double chunk_part = plan.chunk.seconds;
+    // busy time. Chunked prefill books that term as the residual of
+    // the charged duration, monolithic prefill as extraSeconds
+    // itself: the two round differently and both are pinned.
     if (!_cost.trivial()) {
         fc_part /= _cost.computeScale;
         at_part /= _cost.computeScale;
         comm_part /= _cost.computeScale;
         chunk_part /= _cost.computeScale;
         if (_cost.extraSeconds)
-            comm_part += plan.seconds -
-                         (fc_part + at_part + comm_part +
-                          chunk_part + plan.timing.other);
+            comm_part += _chunked
+                             ? plan.seconds -
+                                   (fc_part + at_part + comm_part +
+                                    chunk_part + t.other)
+                             : _cost.extraSeconds(plan.tokens);
     }
     _breakdown.fcSeconds += fc_part;
     _breakdown.attnSeconds += at_part;
     _breakdown.commSeconds += comm_part;
     _breakdown.prefillSeconds += chunk_part;
-    _breakdown.otherSeconds += plan.timing.other;
+    _breakdown.otherSeconds += t.other;
 
-    const auto live = static_cast<std::uint32_t>(_batch.size());
-    _rlpTimeIntegral += plan.seconds * live;
+    const std::size_t n = _batch.size();
+    _rlpTimeIntegral += plan.seconds * static_cast<std::uint32_t>(n);
     _busySeconds += plan.seconds;
     _now += plan.seconds;
-
-    double iter_joules =
-        plan.chunk.energyJoules + plan.timing.other * kHostWatts;
-    if (plan.dispatched)
-        iter_joules += plan.timing.fc.energyJoules +
-                       plan.timing.at.energyJoules;
-    // Tokens in the fabric-energy term mirror the ones in the
-    // fabric-time term (scaledSeconds): decode plus prefill chunks.
-    if (!_cost.trivial() && _cost.extraJoules)
-        iter_joules +=
-            _cost.extraJoules(plan.tokens + plan.chunkTokens);
-    _out.energyJoules += iter_joules;
+    // Static mode keeps the pre-fold decode loop's floating-point
+    // association (device and host terms added separately); the
+    // serving path adds one sum.
+    if (_static.enabled) {
+        _out.energyJoules += t.fc.energyJoules + t.at.energyJoules;
+        _out.energyJoules += t.other * kHostWatts;
+    } else {
+        double iter_joules = plan.chunk.energyJoules +
+                             t.other * kHostWatts +
+                             (t.fc.energyJoules + t.at.energyJoules);
+        // Tokens in the fabric-energy term mirror the ones in the
+        // fabric-time term (scaledSeconds): decode plus prefill
+        // chunks.
+        if (!_cost.trivial() && _cost.extraJoules)
+            iter_joules +=
+                _cost.extraJoules(plan.tokens + plan.chunkTokens);
+        _out.energyJoules += iter_joules;
+    }
     ++_out.iterations;
     if (plan.dispatched) {
-        ++_targetIters[plan.decision.target];
-        if (_targetIsGpu[plan.decision.target])
+        ++_targetIters[target];
+        if (_targetIsGpu[target])
             ++_out.fcOnGpuIterations;
         else
             ++_out.fcOnPimIterations;
     }
 
-    const std::size_t n = _batch.size();
-    // All-decoding fast path: no chunks planned and nobody mid-
-    // prefill means the iteration reduces to the same vectorized
-    // advance as the legacy path (chunked serving always holds KV,
-    // so releases are unconditional).
+    // Monolithic prefill samples the KV peak before retirees
+    // release their blocks, chunked prefill after (pinned both ways).
+    if (!_chunked && !_static.enabled)
+        _out.peakKvUtilization = std::max(_out.peakKvUtilization,
+                                          _kv.utilization());
+
+    // All-decoding fast path: no chunk planned and nobody mid-prefill
+    // (always the case under monolithic prefill) reduces the
+    // iteration to one vectorized advance. Chunked prefill with
+    // preemption stays on the mixed loop, which grows each
+    // request's KV before the next one retires.
+    std::uint32_t eos = 0;
     const bool all_decoding =
         plan.chunkTokens == 0 &&
         plan.decodeRlp == static_cast<std::uint32_t>(n);
-
-    if (all_decoding && !_preempt) {
-        const std::uint32_t accepted =
-            plan.decodeRlp > 0 ? _spec.sampleAccepted(_rng) : 0;
-        advanceAndRetire(accepted, true);
+    if (all_decoding && !(_chunked && _preempt)) {
+        eos = advanceAndRetire(_spec.sampleAccepted(_rng),
+                               !_static.enabled);
+        if (_preempt) {
+            // On-demand accounting: materialize the tokens this
+            // iteration appended in one bulk grow after the
+            // retirees released (ascending batch order - the same
+            // allocation sequence as per-request calls).
+            const std::size_t live = _batch.size();
+            _growIdx.clear();
+            _growIds.clear();
+            _growTok.clear();
+            for (std::size_t i = 0; i < live; ++i) {
+                const std::uint32_t ctx = _batch.contextLen(i);
+                if (ctx > _batch.kvTokens[i]) {
+                    _batch.kvTokens[i] = ctx;
+                    _growIdx.push_back(i);
+                    _growIds.push_back(_batch.id[i]);
+                    _growTok.push_back(ctx);
+                }
+            }
+            if (!_growIds.empty()) {
+                _growBlocks.resize(_growIds.size());
+                _kv.growMany(_growIds.data(), _growTok.data(),
+                             _growBlocks.data(), _growIds.size());
+                for (std::size_t j = 0; j < _growIdx.size(); ++j)
+                    _batch.kvBlocks[_growIdx[j]] = _growBlocks[j];
+            }
+        }
+    } else {
+        eos = advanceMixed(plan);
+    }
+    if (_preempt)
+        ensureKvHeadroom();
+    if (_chunked || _preempt)
         _out.peakKvUtilization = std::max(_out.peakKvUtilization,
                                           _kv.utilization());
-        if (_role == ServingRole::Prefill)
-            handoffCompletedPrefills();
-        return;
+
+    if (_static.recordTrace) {
+        IterationTrace tr;
+        tr.iteration = _out.iterations;
+        tr.rlp = plan.decodeRlp;
+        tr.tlp = _spec.length;
+        tr.estimatedAi = _dynamic ? plan.decision.estimatedAi : 0.0;
+        tr.targetId = target;
+        tr.fcTarget = _platform.legacyFcTarget(target);
+        tr.rescheduled = rescheduled;
+        tr.eosCount = eos;
+        tr.iterationSeconds = plan.seconds;
+        _trace.push_back(tr);
     }
 
+    // Prefill-pool replica: requests whose last chunk just ran are
+    // done here - retire them into the handoff queue for migration
+    // instead of letting them join the decode set.
+    if (_role == ServingRole::Prefill)
+        handoffCompletedPrefills();
+}
+
+std::uint32_t
+ServingSim::advanceMixed(const IterationPlan &plan)
+{
     // Freeze the decode set before prefill progress: a request
     // whose prefill completes in THIS iteration starts decoding at
     // the NEXT one (its chunk was costed, its decode was not).
     syncGen(); // the mixed loop below reads/writes generated[]
+    const std::size_t n = _batch.size();
     _decoding.assign(n, 0);
     for (std::size_t i = 0; i < n; ++i)
         _decoding[i] = _batch.prefillRemaining[i] == 0;
@@ -1409,6 +1307,7 @@ ServingSim::stepDecodeChunked()
     // tokens this iteration (their TTFT reflects the chunk delay).
     const std::uint32_t accepted =
         plan.decodeRlp > 0 ? _spec.sampleAccepted(_rng) : 0;
+    std::uint32_t eos = 0;
     std::size_t w = 0;
     for (std::size_t r = 0; r < n; ++r) {
         if (!_decoding[r]) {
@@ -1434,6 +1333,7 @@ ServingSim::stepDecodeChunked()
             recordRetirementAt(r);
             _kv.release(_batch.id[r]);
             publishPrefix(r);
+            ++eos;
         } else {
             _batch.moveTo(w, r);
             ++w;
@@ -1441,17 +1341,7 @@ ServingSim::stepDecodeChunked()
     }
     _batch.truncate(w);
     _steadyValid = false;
-
-    if (_preempt)
-        ensureKvHeadroom();
-    _out.peakKvUtilization = std::max(_out.peakKvUtilization,
-                                      _kv.utilization());
-
-    // Prefill-pool replica: requests whose last chunk just ran are
-    // done here - retire them into the handoff queue for migration
-    // instead of letting them join the decode set.
-    if (_role == ServingRole::Prefill)
-        handoffCompletedPrefills();
+    return eos;
 }
 
 std::uint64_t
@@ -1461,42 +1351,32 @@ ServingSim::worstGrowthBlocks() const
     // per-id hash lookups (kvBlocks[i] == _kv.requestBlocks(id[i])
     // by construction).
     syncGen();
+    if (_chunked)
+        planChunks(_chunkPlan);
     const std::size_t n = _batch.size();
     const std::uint64_t bt = _kvBlockTokens;
+    const std::uint32_t tlp = _spec.length;
+    const std::uint32_t *pre = _batch.prefillRemaining.data();
+    const std::uint32_t *kv_tok = _batch.kvTokens.data();
+    const std::uint32_t *in = _batch.inputLen.data();
+    const std::uint32_t *gen = _batch.generated.data();
+    const std::uint32_t *out = _batch.outputLen.data();
+    const std::uint64_t *held = _batch.kvBlocks.data();
     std::uint64_t need = 0;
-    if (_chunked) {
-        planChunks(_chunkPlan);
-        for (std::size_t i = 0; i < n; ++i) {
-            std::uint64_t target;
-            if (_batch.prefillRemaining[i] > 0) {
-                target = std::max<std::uint64_t>(
-                    _batch.kvTokens[i] + _chunkPlan[i], 1);
-            } else {
-                const std::uint32_t rem =
-                    _batch.outputLen[i] - _batch.generated[i];
-                target = _batch.contextLen(i) +
-                         std::min(_spec.length, rem);
-            }
-            const std::uint64_t blocks = (target + bt - 1) / bt;
-            need += blocks > _batch.kvBlocks[i]
-                        ? blocks - _batch.kvBlocks[i]
-                        : 0;
-        }
-    } else {
-        const std::uint32_t tlp = _spec.length;
-        const std::uint32_t *in = _batch.inputLen.data();
-        const std::uint32_t *gen = _batch.generated.data();
-        const std::uint32_t *out = _batch.outputLen.data();
-        const std::uint64_t *held = _batch.kvBlocks.data();
-        for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t i = 0; i < n; ++i) {
+        std::uint64_t target;
+        if (pre[i] > 0) {
+            // Mid-prefill (chunked only): the next chunk's KV.
+            target = std::max<std::uint64_t>(
+                kv_tok[i] + _chunkPlan[i], 1);
+        } else {
             // Next decode iteration appends at most TLP tokens,
             // clipped at the request's remaining output.
             const std::uint32_t rem = out[i] - gen[i];
-            const std::uint64_t target =
-                in[i] + gen[i] + (tlp < rem ? tlp : rem);
-            const std::uint64_t blocks = (target + bt - 1) / bt;
-            need += blocks > held[i] ? blocks - held[i] : 0;
+            target = in[i] + gen[i] + (tlp < rem ? tlp : rem);
         }
+        const std::uint64_t blocks = (target + bt - 1) / bt;
+        need += blocks > held[i] ? blocks - held[i] : 0;
     }
     return need;
 }

@@ -134,7 +134,7 @@ struct ServingOptions
      * tokens per decode iteration (shared budget across all
      * still-prefilling requests, oldest admission first) instead of
      * as one synchronous charge at admission - so a long prompt
-     * never stalls the decoding batch. 0 keeps the legacy
+     * never stalls the decoding batch. 0 keeps the monolithic
      * stop-the-world prefill.
      */
     std::uint32_t prefillChunkTokens = 0;
@@ -793,6 +793,11 @@ class ServingSim
     double scaledSeconds(double kernel_seconds, double other_seconds,
                          std::uint32_t tokens) const;
 
+    /** Charge an admission wave's prefill @p pre, whose prompt
+     *  tokens are @p lens, to the clock, breakdown and energy. */
+    void chargePrefill(const KernelExec &pre,
+                       const std::vector<std::uint32_t> &lens);
+
     /** One decode iteration's kernel-phase costs. */
     struct IterationTiming
     {
@@ -800,26 +805,16 @@ class ServingSim
         KernelExec at;        ///< Attention phase.
         double other = 0.0;   ///< Non-GEMV overhead (+ draft charge).
         double hidden = 0.0;  ///< Overlap-hidden seconds (static mode).
-        double seconds = 0.0; ///< Total charged duration.
     };
 
     /**
-     * Compute the next iteration's timing for @p target without
-     * advancing state (refills _ctx). The single source of truth
-     * shared by peekIterationSeconds() and stepDecode() - the
-     * cluster event loop's ordering depends on peeked and charged
-     * durations being exactly equal.
-     */
-    IterationTiming iterationTiming(TargetId target,
-                                    std::uint32_t tokens,
-                                    std::uint32_t tlp) const;
-
-    /**
-     * The full plan of the next iteration under continuous batching
-     * (chunked prefill): which requests decode, which prompt chunks
-     * are processed, the dispatch decision over the decode tokens,
-     * and the total charged duration. Pure with respect to sim state
-     * (scratch vectors aside) so peeks and steps agree exactly.
+     * The full plan of the next iteration: which requests decode,
+     * which prompt chunks are processed (chunked prefill only), the
+     * dispatch decision over the decode tokens, and the total
+     * charged duration. Pure with respect to sim state (scratch
+     * vectors aside) so peeks and steps agree exactly - the cluster
+     * event loop's ordering depends on peeked and charged durations
+     * being equal.
      */
     struct IterationPlan
     {
@@ -834,12 +829,12 @@ class ServingSim
         double seconds = 0.0;        ///< Total charged duration.
     };
 
-    /** Build the chunked-mode plan (requires hasActive()). */
+    /** Build the next iteration's plan (requires hasActive()). */
     IterationPlan planIteration() const;
 
     /**
-     * Ensure _plan describes the next iteration (computing it once
-     * for both paths). The plan computed by a peek is cached and
+     * Ensure _plan describes the next iteration. The plan computed
+     * by a peek is cached and
      * consumed by the following stepDecode(), so the cost model
      * runs once per iteration even when a driver peeks to schedule
      * the boundary; state mutations (admission, decode, idle
@@ -849,13 +844,13 @@ class ServingSim
     void refreshPlan() const;
 
     /**
-     * Dynamic-dispatch reschedule accounting (shared by both decode
-     * paths). @return true if the target changed vs last iteration.
+     * Dynamic-dispatch reschedule accounting.
+     * @return true if the target changed vs last iteration.
      */
     bool noteDispatch(TargetId target);
 
-    /** Push batch element @p i's record/latency (shared by both
-     *  decode paths; caller releases KV and compacts). */
+    /** Push batch element @p i's record/latency (caller releases
+     *  KV and compacts). */
     void recordRetirementAt(std::size_t i);
 
     /** Publish batch element @p i's reusable span into the prefix
@@ -864,24 +859,26 @@ class ServingSim
      *  replica - nothing ever probes a decode-side insert). */
     void publishPrefix(std::size_t i);
 
-    /** Legacy (non-chunked) decode iteration; the pre-refactor body
-     *  of stepDecode(), bit-identical. */
-    void stepDecodeLegacy();
-
-    /** Chunked-mode decode/prefill iteration. */
-    void stepDecodeChunked();
-
     /**
      * Advance every batch member by @p accepted tokens and retire
      * the finished ones (record, optional KV release, in-place
      * ordered compaction). The advance itself is one branch-light
      * pass over the generated/outputLen columns; the compaction
-     * pass runs only when the advance saw a finish. Shared by the
-     * legacy path and the all-decoding chunked fast path.
+     * pass runs only when the advance saw a finish. stepDecode()'s
+     * all-decoding fast path.
      * @return Requests that finished (<eos> count).
      */
     std::uint32_t advanceAndRetire(std::uint32_t accepted,
                                    bool release_kv);
+
+    /**
+     * stepDecode()'s mixed path (chunked prefill): apply @p plan's
+     * prompt chunks, advance the requests that were already
+     * decoding, and retire the finished ones - growing KV per
+     * request under preemption.
+     * @return Requests that finished (<eos> count).
+     */
+    std::uint32_t advanceMixed(const IterationPlan &plan);
 
     /**
      * Preemption-mode helpers: blocks the next iteration could need
@@ -999,7 +996,7 @@ class ServingSim
     mutable std::vector<std::uint32_t> _chunkPrior;
     mutable std::vector<std::uint32_t> _chunkNow;
     /** Decode-set snapshot of the running iteration (see
-     *  stepDecodeChunked). */
+     *  advanceMixed). */
     std::vector<std::uint8_t> _decoding;
     // Gather/scatter scratch for bulk KV growth (growMany).
     std::vector<std::size_t> _growIdx;

@@ -374,6 +374,14 @@ TEST(ServingEventDriver, ChunkedAndStaticBatchModesAreExclusive)
     mode.enabled = true;
     EXPECT_THROW(ServingSim(papi, {}, model, opt, {}, {}, mode),
                  FatalError);
+    // A tensor-parallel cost model would scale static iterations
+    // without their overlap-hidden time (the breakdown would no
+    // longer sum to the busy time), so it is rejected too.
+    IterationCostModel tp;
+    tp.computeScale = 2.0;
+    EXPECT_THROW(ServingSim(papi, {}, model, ServingOptions{}, tp, {},
+                            mode),
+                 FatalError);
 }
 
 } // namespace
