@@ -363,47 +363,19 @@ ServingEventDriver::runStream(
 {
     if (!route)
         sim::fatal("ServingEventDriver: no routing function");
+    if (!stream.empty() && !fastPathEligible()) {
+        // Dynamic routing: the generated path over a vector cursor
+        // (a vector and a generator of the same sequence are one
+        // run, byte for byte).
+        std::size_t next = 0;
+        runStreamGenerated([&stream, &next] { return stream[next++]; },
+                           stream.size(), route);
+        return;
+    }
+    // Pre-routed fast path (an empty stream just drains).
     _streamed = true;
     _undelivered = stream.size();
-
-    if (fastPathEligible()) {
-        preRouteStream(stream, route);
-    } else {
-        // One global event per distinct arrival timestamp: the whole
-        // burst is delivered (in stream order) before any replica
-        // reacts, exactly as the retired loop's deliver_up_to() did
-        // - so two same-time arrivals to one idle replica prefill as
-        // one batch. Arrivals are window barriers: every shard is
-        // advanced to just below the burst's key first, so the
-        // routing function observes exactly the serial-order loads.
-        for (std::size_t i = 0; i < stream.size();) {
-            std::size_t j = i + 1;
-            while (j < stream.size() &&
-                   // detlint: allow(float-eq): same-instant burst
-                   // grouping over verbatim stream timestamps -
-                   // equal doubles map to equal orderedTicks, so
-                   // this matches the queue's own key equality.
-                   stream[j].arrivalSeconds ==
-                       stream[i].arrivalSeconds)
-                ++j;
-            const llm::TimedRequest *reqs = stream.data();
-            scheduleGlobal(
-                stream[i].arrivalSeconds, kArrivalPriority,
-                [this, reqs, i, j, &route] {
-                    for (std::size_t k = i; k < j; ++k) {
-                        const std::uint32_t g = route(reqs[k]);
-                        if (g >= _sims.size())
-                            sim::fatal("ServingEventDriver: route "
-                                       "returned replica ", g,
-                                       " of ", _sims.size());
-                        _sims[g]->deliver(reqs[k]);
-                        --_undelivered;
-                    }
-                    pokeIdleReplicas();
-                });
-            i = j;
-        }
-    }
+    preRouteStream(stream, route);
     runQueues();
     checkDrained();
     _preRouted.clear();
@@ -427,10 +399,13 @@ ServingEventDriver::runStreamGenerated(
     // One-arrival lookahead: the head is the next burst's first
     // arrival; each burst event delivers the head plus every
     // same-timestamp follower (pulling as it goes), then schedules
-    // the next burst at the new head's timestamp. Chained global
-    // events keep arrivals as window barriers, so dynamic routing
-    // observes exactly the serial-order loads - and only one
-    // undelivered arrival ever exists in memory.
+    // the next burst at the new head's timestamp. The whole burst
+    // is delivered before any replica reacts, so two same-time
+    // arrivals to one idle replica prefill as one batch. Chained
+    // global events keep arrivals as window barriers (every shard
+    // is advanced to just below the burst's key first), so dynamic
+    // routing observes exactly the serial-order loads - and only
+    // one undelivered arrival ever exists in memory.
     struct GenState
     {
         llm::TimedRequest head;

@@ -169,7 +169,9 @@ class ServingEventDriver
      * its timestamp, routed through @p route at delivery time, and
      * the replicas' admission/boundary events interleave with the
      * arrivals on the shared queue. Arrivals must be sorted;
-     * @p route must return an index < the replica count.
+     * @p route must return an index < the replica count. Unless the
+     * pre-routed fast path applies, this is runStreamGenerated()
+     * over the vector.
      */
     void runStream(const std::vector<llm::TimedRequest> &stream,
                    const RouteFn &route);
@@ -180,13 +182,13 @@ class ServingEventDriver
      * a one-arrival lookahead instead of the materialized stream, so
      * a million-request run costs the same driver memory as a
      * ten-request run. Same-timestamp arrivals are grouped into one
-     * delivery burst exactly as runStream groups them (the pulled
-     * lookahead decides burst membership), so a generator emitting
-     * the same sequence as a materialized vector produces a
-     * byte-identical run. Pulled arrivals must be non-decreasing in
-     * time (fatal otherwise); @p count must be >= 1. Never takes the
-     * pre-routed fast path: the pull itself is inherently
-     * sequential, so arrivals stay global (barrier) events.
+     * delivery burst (the pulled lookahead decides burst
+     * membership), so a generator emitting the same sequence as a
+     * materialized vector produces a byte-identical run. Pulled
+     * arrivals must be non-decreasing in time (fatal otherwise);
+     * @p count must be >= 1. Never takes the pre-routed fast path:
+     * the pull itself is inherently sequential, so arrivals stay
+     * global (barrier) events.
      */
     void
     runStreamGenerated(const std::function<llm::TimedRequest()> &next,
