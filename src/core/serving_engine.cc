@@ -1199,7 +1199,8 @@ ServingSim::stepDecode()
     // (always the case under monolithic prefill) reduces the
     // iteration to one vectorized advance. Chunked prefill with
     // preemption stays on the mixed loop, which grows each
-    // request's KV before the next one retires.
+    // request's KV before the next one retires. Only the static
+    // trace reads eos, and static batches always take the fast path.
     std::uint32_t eos = 0;
     const bool all_decoding =
         plan.chunkTokens == 0 &&
@@ -1234,7 +1235,7 @@ ServingSim::stepDecode()
             }
         }
     } else {
-        eos = advanceMixed(plan);
+        advanceMixed(plan);
     }
     if (_preempt)
         ensureKvHeadroom();
@@ -1263,7 +1264,7 @@ ServingSim::stepDecode()
         handoffCompletedPrefills();
 }
 
-std::uint32_t
+void
 ServingSim::advanceMixed(const IterationPlan &plan)
 {
     // Freeze the decode set before prefill progress: a request
@@ -1307,7 +1308,6 @@ ServingSim::advanceMixed(const IterationPlan &plan)
     // tokens this iteration (their TTFT reflects the chunk delay).
     const std::uint32_t accepted =
         plan.decodeRlp > 0 ? _spec.sampleAccepted(_rng) : 0;
-    std::uint32_t eos = 0;
     std::size_t w = 0;
     for (std::size_t r = 0; r < n; ++r) {
         if (!_decoding[r]) {
@@ -1333,7 +1333,6 @@ ServingSim::advanceMixed(const IterationPlan &plan)
             recordRetirementAt(r);
             _kv.release(_batch.id[r]);
             publishPrefix(r);
-            ++eos;
         } else {
             _batch.moveTo(w, r);
             ++w;
@@ -1341,7 +1340,6 @@ ServingSim::advanceMixed(const IterationPlan &plan)
     }
     _batch.truncate(w);
     _steadyValid = false;
-    return eos;
 }
 
 std::uint64_t

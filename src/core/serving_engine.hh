@@ -565,7 +565,8 @@ class ServingSim
      * @param model Model being served.
      * @param options Admission and scheduling options.
      * @param cost Per-iteration transform for tensor-parallel
-     *        groups; the default leaves timing untouched.
+     *        groups; the default leaves timing untouched. Must stay
+     *        trivial when @p static_mode is enabled.
      * @param fc_estimator AI-estimate override for the FC threshold
      *        rule (MoE deployments); default is the paper's Eq. 2.
      * @param static_mode DecodeEngine-compat extensions; default off.
@@ -876,9 +877,8 @@ class ServingSim
      * prompt chunks, advance the requests that were already
      * decoding, and retire the finished ones - growing KV per
      * request under preemption.
-     * @return Requests that finished (<eos> count).
      */
-    std::uint32_t advanceMixed(const IterationPlan &plan);
+    void advanceMixed(const IterationPlan &plan);
 
     /**
      * Preemption-mode helpers: blocks the next iteration could need
