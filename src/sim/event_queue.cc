@@ -173,7 +173,11 @@ EventQueue::step()
     --_size;
     _now = key.when;
     ++_executed;
+    // A stepped event has no drain bound to check inline runs against.
+    const bool draining = _draining;
+    _draining = false;
     dispatch(key);
+    _draining = draining;
     return true;
 }
 
@@ -201,49 +205,108 @@ EventQueue::dispatch(const RunKey &key)
     }
 }
 
+void
+EventQueue::headKey(Tick &when, Priority &prio) const
+{
+    if (!_runOrder.empty()) {
+        when = _runOrder.back().when;
+        prio = _runOrder.back().prio;
+        return;
+    }
+    if (_inWindow > 0) {
+        // Every bucket entry is later than the run buffer and every
+        // overflow entry later than the window, so the head is the
+        // minimum of the next occupied bucket (appended unsorted).
+        const auto &bucket =
+            _buckets[(_curIdx + nextOccupiedDistance()) & kMask];
+        when = bucket.front().when;
+        prio = bucket.front().prio;
+        for (const Entry &e : bucket) {
+            if (e.when < when || (e.when == when && e.prio < prio)) {
+                when = e.when;
+                prio = e.prio;
+            }
+        }
+        return;
+    }
+    when = _overflow.front().when;
+    prio = _overflow.front().prio;
+}
+
 bool
-EventQueue::peekNextKey(Tick &when, Priority &prio)
+EventQueue::peekNextKey(Tick &when, Priority &prio) const
 {
     if (_size == 0)
         return false;
-    prepareNext();
-    const RunKey &key = _runOrder.back();
-    when = key.when;
-    prio = key.prio;
+    headKey(when, prio);
     return true;
+}
+
+bool
+EventQueue::tryRunInline(Tick when, Priority prio)
+{
+    if (!_draining || when < _now)
+        return false;
+    if (when > _drainWhen || (when == _drainWhen && prio >= _drainPrio))
+        return false;
+    if (_size > 0) {
+        Tick head_when;
+        Priority head_prio;
+        headKey(head_when, head_prio);
+        if (head_when < when ||
+            (head_when == when && head_prio <= prio))
+            return false;
+    }
+    _now = when;
+    ++_executed;
+    return true;
+}
+
+void
+EventQueue::drain(Tick when, std::int64_t prio)
+{
+    // Restores the enclosing drain's bound (if any) on every exit,
+    // including a closure's throw.
+    struct BoundGuard
+    {
+        EventQueue &q;
+        bool draining;
+        Tick when;
+        std::int64_t prio;
+        ~BoundGuard()
+        {
+            q._draining = draining;
+            q._drainWhen = when;
+            q._drainPrio = prio;
+        }
+    } guard{*this, _draining, _drainWhen, _drainPrio};
+    _draining = true;
+    _drainWhen = when;
+    _drainPrio = prio;
+
+    while (_size > 0) {
+        prepareNext();
+        const RunKey key = _runOrder.back();
+        if (key.when > when || (key.when == when && key.prio >= prio))
+            break;
+        _runOrder.pop_back();
+        --_size;
+        _now = key.when;
+        ++_executed;
+        dispatch(key);
+    }
 }
 
 void
 EventQueue::runUntilKey(Tick when, Priority prio)
 {
-    while (_size > 0) {
-        prepareNext();
-        const RunKey key = _runOrder.back();
-        if (key.when > when ||
-            (key.when == when && key.prio >= prio))
-            break;
-        _runOrder.pop_back();
-        --_size;
-        _now = key.when;
-        ++_executed;
-        dispatch(key);
-    }
+    drain(when, prio);
 }
 
 Tick
 EventQueue::run(Tick horizon)
 {
-    while (_size > 0) {
-        prepareNext();
-        const RunKey key = _runOrder.back();
-        if (key.when > horizon)
-            break;
-        _runOrder.pop_back();
-        --_size;
-        _now = key.when;
-        ++_executed;
-        dispatch(key);
-    }
+    drain(horizon, kAfterAnyPriority);
     return _now;
 }
 

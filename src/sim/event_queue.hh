@@ -22,6 +22,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <queue>
 #include <vector>
 
@@ -142,14 +143,15 @@ class EventQueue
 
     /**
      * Read the (tick, priority) key of the earliest pending event
-     * without executing it. Non-const because locating the head may
-     * drain calendar buckets into the sorted run buffer; the event
-     * order is unchanged.
+     * without executing it. Never mutates the queue, so it is safe
+     * from inside an executing closure (locating the head by draining
+     * the next calendar bucket would destroy the run the closure
+     * itself lives in).
      *
      * @retval true @p when / @p prio hold the head event's key.
      * @retval false the queue is empty (outputs untouched).
      */
-    bool peekNextKey(Tick &when, Priority &prio);
+    bool peekNextKey(Tick &when, Priority &prio) const;
 
     /**
      * Run every event whose (tick, priority) key is strictly below
@@ -161,6 +163,31 @@ class EventQueue
      * remain legal.
      */
     void runUntilKey(Tick when, Priority prio);
+
+    /**
+     * Execute an event at (@p when, @p prio) in place instead of
+     * scheduling it: the calling closure runs the event's body itself
+     * right after this returns true. Accepted only when the event is
+     * provably the next one this queue would execute:
+     *
+     *  - the call comes from a closure inside a run() / runUntilKey()
+     *    drain (never under step(), which has no bound to check);
+     *  - @p when >= now();
+     *  - (@p when, @p prio) is strictly below the drain bound (for
+     *    run(horizon): @p when <= horizon);
+     *  - (@p when, @p prio) is strictly below the key of every pending
+     *    event - strictly, because on a tie the pending event holds
+     *    the lower sequence number and must run first.
+     *
+     * On acceptance now() becomes @p when and executed() counts the
+     * event, exactly as if it had been scheduled and dispatched; no
+     * sequence number is consumed, which keeps the relative order of
+     * every other event. The queue itself is never mutated.
+     *
+     * @retval true the caller must run the event now.
+     * @retval false schedule it instead (queue state untouched).
+     */
+    bool tryRunInline(Tick when, Priority prio);
 
     /** Drop all pending events without executing them. */
     void clear();
@@ -202,6 +229,11 @@ class EventQueue
         std::uint32_t idx;
         std::uint64_t seq;
     };
+
+    /** Drain-bound priority of run(horizon): above every Priority,
+     *  so the whole horizon tick is inside the bound. */
+    static constexpr std::int64_t kAfterAnyPriority =
+        std::int64_t(std::numeric_limits<Priority>::max()) + 1;
 
     static constexpr std::uint32_t kExtraFlag = 0x80000000u;
     static constexpr unsigned kStoreShift = 20;
@@ -253,6 +285,12 @@ class EventQueue
                       EventCallback &&fn);
     void dispatch(const RunKey &key);
     void refillFromOverflow();
+    /** Run every event strictly below (@p when, @p prio). */
+    void drain(Tick when, std::int64_t prio);
+    /** Key of the earliest pending event without mutating the queue
+     *  (requires _size > 0): the run buffer's back, else the minimum
+     *  of the next occupied bucket, else the overflow heap's top. */
+    void headKey(Tick &when, Priority &prio) const;
 
     [[noreturn]] void pastPanic(Tick when) const;
     [[noreturn]] void nullPanic(Tick when) const;
@@ -296,6 +334,11 @@ class EventQueue
 
     /** True while an event closure is executing (see clear()). */
     bool _dispatching = false;
+    /** True while a drain() dispatches (see tryRunInline()); its
+     *  exclusive bound is (_drainWhen, _drainPrio). */
+    bool _draining = false;
+    Tick _drainWhen = 0;
+    std::int64_t _drainPrio = 0;
     /** Buffers parked by a re-entrant clear() until dispatch ends. */
     std::vector<std::vector<Entry>> _retired;
 };

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -77,6 +78,50 @@ TEST(EventQueuePeek, RunUntilKeyStopsStrictlyBelowTheBound)
 
     q.run();
     EXPECT_EQ(order, (std::vector<int>{0, 1, 4, 2, 3}));
+}
+
+TEST(EventQueuePeek, InlineRefusedAtOrPastTheRunUntilKeyBound)
+{
+    EventQueue q;
+    std::vector<bool> accepted;
+    q.schedule(10, [&] {
+        accepted.push_back(q.tryRunInline(50, 5)); // == bound
+        accepted.push_back(q.tryRunInline(50, 6)); // past, same tick
+        accepted.push_back(q.tryRunInline(51, 0)); // past tick
+        accepted.push_back(q.tryRunInline(50, 4)); // strictly below
+    });
+    q.runUntilKey(50, 5);
+    EXPECT_EQ(accepted, (std::vector<bool>{false, false, false, true}));
+    EXPECT_EQ(q.now(), 50);
+    EXPECT_EQ(q.executed(), 2u);
+    EXPECT_TRUE(q.empty());
+}
+
+TEST(EventQueuePeek, InlineUnderRunHorizonIncludesTheHorizonTick)
+{
+    EventQueue q;
+    std::vector<bool> accepted;
+    q.schedule(10, [&] {
+        accepted.push_back(q.tryRunInline(101, 0));
+        accepted.push_back(
+            q.tryRunInline(100, std::numeric_limits<Priority>::max()));
+    });
+    q.run(100);
+    EXPECT_EQ(accepted, (std::vector<bool>{false, true}));
+    EXPECT_EQ(q.now(), 100);
+}
+
+TEST(EventQueuePeek, InlineBoundRestoredAfterANestedDrain)
+{
+    // A drain nested in a closure must hand the outer bound back.
+    EventQueue q;
+    bool accepted = true;
+    q.schedule(10, [&] {
+        q.run(); // nothing pending: returns at once
+        accepted = q.tryRunInline(50, 5);
+    });
+    q.runUntilKey(50, 5);
+    EXPECT_FALSE(accepted);
 }
 
 // ------------------------------------------------------------------
@@ -186,6 +231,26 @@ TEST(ParallelTimelineTest, WindowsPreserveTheSerialOrder)
 
     WorkerPool pool(4);
     EXPECT_EQ(runMesh(&pool), serial);
+}
+
+TEST(ParallelTimelineTest, ShardInlineStopsBelowTheNextGlobalEvent)
+{
+    // The shard window is bounded by the next global event's key, so
+    // a shard event can run a follow-up inline only strictly below
+    // it; a follow-up at or past the key must wait for the barrier.
+    ParallelTimeline tl(2);
+    std::vector<bool> accepted;
+    tl.shard(0).schedule(10, [&] {
+        EventQueue &q = tl.shard(0);
+        accepted.push_back(q.tryRunInline(50, 1));  // == global key
+        accepted.push_back(q.tryRunInline(50, 10)); // after it
+        accepted.push_back(q.tryRunInline(50, 0));  // before it
+    });
+    Tick global_saw = 0;
+    tl.global().schedule(50, [&] { global_saw = tl.shard(0).now(); }, 1);
+    tl.run(nullptr);
+    EXPECT_EQ(accepted, (std::vector<bool>{false, false, true}));
+    EXPECT_EQ(global_saw, 50);
 }
 
 TEST(ParallelTimelineTest, CommittedTickTracksTheGlobalClock)

@@ -14,6 +14,8 @@
 
 #include <algorithm>
 #include <functional>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "core/platform.hh"
@@ -232,6 +234,242 @@ TEST(EventQueue, ReentrantClearFromInsideEvent)
     eq.run();
     EXPECT_EQ(ran, 2);
 }
+
+TEST(EventQueue, PeekFromTheLastEventOfADrainRunKeepsItAlive)
+{
+    // Ticks 1000..4000 sit in four buckets that form one drain run;
+    // 5000 waits in the next bucket. The closure at 4000 is the last
+    // entry of its run and peeks: locating the head by draining the
+    // next bucket would clear the run stores and destroy the closure
+    // mid-execution (heap-use-after-free on its string capture under
+    // ASan). The peek must read the head without mutating the queue.
+    EventQueue eq;
+    std::vector<std::string> seen;
+    for (Tick t = 1000; t <= 5000; t += 1000) {
+        const std::string tag =
+            "event-" + std::to_string(t) + "-with-a-heap-capture";
+        eq.schedule(t, [&eq, &seen, tag] {
+            Tick when = 0;
+            Priority prio = 0;
+            const bool more = eq.peekNextKey(when, prio);
+            seen.push_back(tag + (more ? ">" + std::to_string(when)
+                                       : ">none"));
+        });
+    }
+    eq.run();
+    EXPECT_EQ(seen, (std::vector<std::string>{
+                        "event-1000-with-a-heap-capture>2000",
+                        "event-2000-with-a-heap-capture>3000",
+                        "event-3000-with-a-heap-capture>4000",
+                        "event-4000-with-a-heap-capture>5000",
+                        "event-5000-with-a-heap-capture>none",
+                    }));
+}
+
+// ---------------------------------------------------------------------
+// tryRunInline: run an event in place when it is provably next
+// ---------------------------------------------------------------------
+
+TEST(EventQueueInline, RefusedOutsideADrain)
+{
+    EventQueue eq;
+    EXPECT_FALSE(eq.tryRunInline(5, 0));
+    EXPECT_EQ(eq.now(), 0u);
+    EXPECT_EQ(eq.executed(), 0u);
+}
+
+TEST(EventQueueInline, RefusedUnderStepAcceptedUnderRun)
+{
+    EventQueue eq;
+    std::vector<bool> accepted;
+    auto probe = [&] {
+        accepted.push_back(eq.tryRunInline(eq.now() + 10, 0));
+    };
+    eq.schedule(10, probe);
+    eq.step(); // a top-level step: no drain at all
+    eq.schedule(30, [&] {
+        eq.step(); // a stepped event stays refused inside a drain
+        probe();   // the drain's own event is accepted
+    });
+    eq.schedule(35, probe);
+    eq.run();
+    EXPECT_EQ(accepted, (std::vector<bool>{false, false, true}));
+    EXPECT_EQ(eq.now(), 45u);
+    EXPECT_EQ(eq.executed(), 4u);
+}
+
+TEST(EventQueueInline, RefusedInThePast)
+{
+    EventQueue eq;
+    bool accepted = true;
+    eq.schedule(10, [&] { accepted = eq.tryRunInline(9, 0); });
+    eq.run();
+    EXPECT_FALSE(accepted);
+    EXPECT_EQ(eq.now(), 10u);
+    EXPECT_EQ(eq.executed(), 1u);
+}
+
+TEST(EventQueueInline, AcceptanceAdvancesClockAndCountOnly)
+{
+    EventQueue eq;
+    std::vector<Tick> ran_at;
+    eq.schedule(10, [&] {
+        ran_at.push_back(eq.now());
+        const std::size_t pending = eq.pending();
+        ASSERT_TRUE(eq.tryRunInline(50, 3));
+        EXPECT_EQ(eq.now(), 50u);
+        EXPECT_EQ(eq.executed(), 2u);
+        EXPECT_EQ(eq.pending(), pending);
+        ran_at.push_back(eq.now());
+    });
+    eq.schedule(100, [&] { ran_at.push_back(eq.now()); });
+    eq.run();
+    EXPECT_EQ(ran_at, (std::vector<Tick>{10, 50, 100}));
+    EXPECT_EQ(eq.executed(), 3u);
+}
+
+TEST(EventQueueInline, ExactTieWithAPendingEventIsRefused)
+{
+    // The pending event at (100, 0) holds the lower sequence number:
+    // an inline event with the same key would run ahead of it.
+    EventQueue eq;
+    std::vector<bool> accepted;
+    eq.schedule(10, [&] {
+        accepted.push_back(eq.tryRunInline(100, 0)); // tie
+        accepted.push_back(eq.tryRunInline(100, 1)); // after
+        accepted.push_back(eq.tryRunInline(100, -1)); // before
+    });
+    eq.schedule(100, [] {});
+    eq.run();
+    EXPECT_EQ(accepted, (std::vector<bool>{false, false, true}));
+    EXPECT_EQ(eq.executed(), 3u);
+}
+
+TEST(EventQueueInline, EarlierEventInTheRunBufferBlocks)
+{
+    // 10 and 20 share a bucket, so 20 waits in the drain run itself.
+    EventQueue eq;
+    std::vector<bool> accepted;
+    eq.schedule(10, [&] {
+        accepted.push_back(eq.tryRunInline(30, 0));
+        accepted.push_back(eq.tryRunInline(15, 0));
+    });
+    eq.schedule(20, [] {});
+    eq.run();
+    EXPECT_EQ(accepted, (std::vector<bool>{false, true}));
+}
+
+TEST(EventQueueInline, EarlierEventInACalendarBucketBlocks)
+{
+    // Scheduled from inside the drain, past the current bucket but
+    // inside the window: both land in one calendar bucket, unsorted.
+    EventQueue eq;
+    const Tick w = EventQueue::bucketWidth();
+    std::vector<bool> accepted;
+    eq.schedule(10, [&] {
+        eq.schedule(5 * w + 9, [] {});
+        eq.schedule(5 * w + 3, [] {});
+        accepted.push_back(eq.tryRunInline(6 * w, 0));
+        accepted.push_back(eq.tryRunInline(5 * w + 5, 0));
+        accepted.push_back(eq.tryRunInline(5 * w + 2, 0));
+    });
+    eq.run();
+    EXPECT_EQ(accepted, (std::vector<bool>{false, false, true}));
+    EXPECT_EQ(eq.executed(), 4u);
+}
+
+TEST(EventQueueInline, EarlierEventInTheOverflowHeapBlocks)
+{
+    EventQueue eq;
+    const Tick span =
+        EventQueue::bucketWidth() * EventQueue::numBuckets();
+    std::vector<bool> accepted;
+    eq.schedule(10, [&] {
+        eq.schedule(3 * span, [] {});
+        accepted.push_back(eq.tryRunInline(4 * span, 0));
+        accepted.push_back(eq.tryRunInline(3 * span, 0));
+        accepted.push_back(eq.tryRunInline(2 * span, 0));
+    });
+    eq.run();
+    EXPECT_EQ(accepted, (std::vector<bool>{false, false, true}));
+    EXPECT_EQ(eq.now(), 3 * span);
+}
+
+/**
+ * Re-entrant chains whose every follow-up runs inline when
+ * tryRunInline accepts it and is scheduled otherwise, drained through
+ * bounded windows, a horizon, and a final run(). Logs (id, now) per
+ * executed body plus the final executed() count.
+ */
+std::vector<std::uint64_t>
+runFollowUpScenario(std::uint64_t seed, bool try_inline,
+                    std::uint64_t &inlined)
+{
+    Rng rng(seed);
+    EventQueue q;
+    std::vector<std::uint64_t> log;
+    std::uint64_t next_id = 0;
+    const Tick w = EventQueue::bucketWidth();
+    const Tick span = w * EventQueue::numBuckets();
+
+    std::function<void(std::uint64_t, int)> body =
+        [&](std::uint64_t id, int depth) {
+            for (;;) {
+                log.push_back(id);
+                log.push_back(q.now());
+                if (depth == 0)
+                    return;
+                const Tick offsets[] = {0, 1, w / 2, w, 3 * w,
+                                        span + 11};
+                const Tick when = q.now() + offsets[rng.uniformInt(0, 5)];
+                const auto prio =
+                    static_cast<Priority>(rng.uniformInt(-2, 2));
+                id = next_id++;
+                --depth;
+                if (try_inline && q.tryRunInline(when, prio)) {
+                    ++inlined;
+                    continue;
+                }
+                q.schedule(when, [&body, id, depth] { body(id, depth); },
+                           prio);
+                return;
+            }
+        };
+
+    for (int i = 0; i < 300; ++i) {
+        const Tick when = static_cast<Tick>(rng.uniformInt(0, 4 * span));
+        const auto prio = static_cast<Priority>(rng.uniformInt(-3, 3));
+        const std::uint64_t id = next_id++;
+        const int depth = static_cast<int>(rng.uniformInt(0, 6));
+        q.schedule(when, [&body, id, depth] { body(id, depth); }, prio);
+    }
+    for (int k = 1; k <= 6; ++k)
+        q.runUntilKey(static_cast<Tick>(k) * span / 2,
+                      static_cast<Priority>(k % 5 - 2));
+    q.run(4 * span);
+    q.run();
+    log.push_back(q.executed());
+    return log;
+}
+
+class InlineEquivalence : public ::testing::TestWithParam<std::uint64_t>
+{
+};
+
+TEST_P(InlineEquivalence, InlineFollowUpsKeepTheScheduledOrder)
+{
+    std::uint64_t inlined = 0, none = 0;
+    const auto inline_log = runFollowUpScenario(GetParam(), true, inlined);
+    const auto scheduled_log =
+        runFollowUpScenario(GetParam(), false, none);
+    EXPECT_GT(inlined, 0u);
+    EXPECT_EQ(none, 0u);
+    EXPECT_EQ(inline_log, scheduled_log);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, InlineEquivalence,
+                         ::testing::Values(1u, 2u, 3u, 17u, 99u,
+                                           12345u));
 
 // ---------------------------------------------------------------------
 // Determinism: calendar queue vs the original binary-heap queue
