@@ -489,7 +489,7 @@ ServingEventDriver::idlePoke(std::uint32_t g)
         // Only parked (preempted) work remains: resume immediately;
         // there is no arrival to wait for.
         if (s.preemptedCount() > 0 && s.admit() > 0)
-            scheduleBoundary(g);
+            scheduleBoundary(g, nextBoundaryTick(g));
         return;
     }
     const bool batch_level =
@@ -531,7 +531,7 @@ ServingEventDriver::startBatch(std::uint32_t g)
     _sims[g]->stepIdle();
     drainHandoffs(g);
     if (_sims[g]->hasActive()) {
-        scheduleBoundary(g);
+        scheduleBoundary(g, nextBoundaryTick(g));
         return;
     }
     // Prefill-pool replica with non-chunked prefill: the whole
@@ -542,34 +542,54 @@ ServingEventDriver::startBatch(std::uint32_t g)
         idlePoke(g);
 }
 
-void
-ServingEventDriver::scheduleBoundary(std::uint32_t g)
+sim::Tick
+ServingEventDriver::nextBoundaryTick(std::uint32_t g)
 {
-    ServingSim &s = *_sims[g];
+    const ServingSim &s = *_sims[g];
+    return replicaTick(g, s.now() + s.peekIterationSeconds());
+}
+
+void
+ServingEventDriver::scheduleBoundary(std::uint32_t g, sim::Tick when)
+{
     const std::uint64_t gen = _boundaryGen[g];
-    const double when = s.now() + s.peekIterationSeconds();
-    scheduleReplica(g, when,
-                    kBoundaryPriority + static_cast<sim::Priority>(g),
-                    [this, g, gen] {
-                        if (gen != _boundaryGen[g])
-                            return; // replica crashed since; stale
-                        boundary(g);
-                    });
+    replicaQueue(g).schedule(
+        when,
+        [this, g, gen] {
+            if (gen != _boundaryGen[g])
+                return; // replica crashed since; stale
+            boundary(g);
+        },
+        boundaryPriority(g));
 }
 
 void
 ServingEventDriver::boundary(std::uint32_t g)
 {
     ServingSim &s = *_sims[g];
-    s.stepDecode();
-    s.admit();
-    drainHandoffs(g);
-    if (s.hasActive()) {
-        scheduleBoundary(g);
-        return;
+    for (;;) {
+        s.stepDecode();
+        s.admit();
+        drainHandoffs(g);
+        if (!s.hasActive()) {
+            if (s.hasPending() || s.preemptedCount() > 0)
+                idlePoke(g);
+            return;
+        }
+        // The next boundary runs in this dispatch when the shard
+        // queue proves nothing else - no pending shard event, no
+        // global event at the window edge - would run first; the
+        // executed order is the scheduled one, minus the round trip.
+        // No crash can intervene (faults are global events, which
+        // bound the window), so the boundary generation still holds.
+        const sim::Tick when = nextBoundaryTick(g);
+        if (coordinatorOwned(g) ||
+            !_timeline.shard(g).tryRunInline(when,
+                                             boundaryPriority(g))) {
+            scheduleBoundary(g, when);
+            return;
+        }
     }
-    if (s.hasPending() || s.preemptedCount() > 0)
-        idlePoke(g);
 }
 
 void

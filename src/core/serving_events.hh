@@ -58,6 +58,7 @@
 #ifndef PAPI_CORE_SERVING_EVENTS_HH
 #define PAPI_CORE_SERVING_EVENTS_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -339,35 +340,42 @@ class ServingEventDriver
         return _disagg && g < _topology.prefillReplicas;
     }
 
+    /** The queue replica @p g's lifecycle events live on: the
+     *  coordinator's global queue if coordinatorOwned(), else shard
+     *  @p g. */
+    sim::EventQueue &
+    replicaQueue(std::uint32_t g)
+    {
+        return coordinatorOwned(g) ? _timeline.global()
+                                   : _timeline.shard(g);
+    }
+
     /**
-     * Schedule @p fn for replica @p g at @p seconds. Coordinator-
-     * owned replicas go on the global queue (clamped to its now, the
-     * serial semantics); everything else goes on shard @p g, clamped
-     * to max(shard now, committed edge) - the exact clamp floor the
+     * @p seconds as a tick on replica @p g's queue, clamped to
+     * max(queue now, committed edge) - the exact clamp floor the
      * single shared queue applied, whether the caller is a shard
      * event (shard now == the serial now) or a barrier-side global
-     * event (committed edge == the serial now).
+     * event (committed edge == the serial now). On the global queue
+     * the edge is its own now, so the floor is just the global now.
+     * Both scheduling and the inline boundary path go through here.
      */
+    sim::Tick
+    replicaTick(std::uint32_t g, double seconds)
+    {
+        const sim::Tick when = std::max(sim::orderedTick(seconds),
+                                        _timeline.committedTick());
+        return std::max(when, replicaQueue(g).now());
+    }
+
+    /** Schedule @p fn for replica @p g at @p seconds (clamped, see
+     *  replicaTick) on the replica's queue. */
     template <typename F>
     void
     scheduleReplica(std::uint32_t g, double seconds,
                     sim::Priority prio, F &&fn)
     {
-        sim::Tick when = sim::orderedTick(seconds);
-        if (coordinatorOwned(g)) {
-            sim::EventQueue &q = _timeline.global();
-            if (when < q.now())
-                when = q.now();
-            q.schedule(when, std::forward<F>(fn), prio);
-            return;
-        }
-        sim::EventQueue &q = _timeline.shard(g);
-        const sim::Tick edge = _timeline.committedTick();
-        if (when < edge)
-            when = edge;
-        if (when < q.now())
-            when = q.now();
-        q.schedule(when, std::forward<F>(fn), prio);
+        replicaQueue(g).schedule(replicaTick(g, seconds),
+                                 std::forward<F>(fn), prio);
     }
 
     /** Schedule a cross-replica event on the coordinator's global
@@ -396,9 +404,20 @@ class ServingEventDriver
     void idlePoke(std::uint32_t g);
     /** Start (or restart) a batch on an idle replica. */
     void startBatch(std::uint32_t g);
-    /** Schedule replica @p g's next iteration-boundary event. */
-    void scheduleBoundary(std::uint32_t g);
-    /** One iteration boundary: decode, admit, reschedule. */
+    /** Replica @p g's boundary priority (lowest index first). */
+    static sim::Priority
+    boundaryPriority(std::uint32_t g)
+    {
+        return kBoundaryPriority + static_cast<sim::Priority>(g);
+    }
+    /** Clamped tick of replica @p g's next iteration boundary. */
+    sim::Tick nextBoundaryTick(std::uint32_t g);
+    /** Schedule replica @p g's next iteration-boundary event at
+     *  @p when (from nextBoundaryTick). */
+    void scheduleBoundary(std::uint32_t g, sim::Tick when);
+    /** Iteration boundaries: decode, admit, then run the next
+     *  boundary inline when the queue proves it is the shard's next
+     *  event (EventQueue::tryRunInline), else schedule it. */
     void boundary(std::uint32_t g);
     /** After any delivery burst: resolve all idle replicas. */
     void pokeIdleReplicas();

@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <string>
@@ -24,6 +25,7 @@
 #include "cluster/router.hh"
 #include "core/platform.hh"
 #include "core/serving_engine.hh"
+#include "core/serving_events.hh"
 #include "llm/arrival.hh"
 #include "llm/kv_cache.hh"
 #include "llm/model_config.hh"
@@ -61,10 +63,10 @@ fnvMix(std::uint64_t &h, double v)
 
 /** Order-sensitive hash of every request's full timeline. */
 std::uint64_t
-timelineHash(const ClusterResult &r)
+timelineHash(const std::vector<core::RequestRecord> &records)
 {
     std::uint64_t h = kFnvOffset;
-    for (const core::RequestRecord &rec : r.records) {
+    for (const core::RequestRecord &rec : records) {
         fnvMix(h, rec.id);
         fnvMix(h, rec.arrivalSeconds);
         fnvMix(h, rec.admissionSeconds);
@@ -298,13 +300,13 @@ TEST(ParallelIdentity, DifferentialGridMatchesSerialByteForByte)
         const GridSample s = makeSample(i, model, cfg);
         SCOPED_TRACE(s.name);
         const ClusterResult serial = runSample(s, 1, model, cfg);
-        const std::uint64_t serial_hash = timelineHash(serial);
+        const std::uint64_t serial_hash = timelineHash(serial.records);
         for (unsigned workers : kWorkerCounts) {
             SCOPED_TRACE("workers=" + std::to_string(workers));
             const ClusterResult parallel =
                 runSample(s, workers, model, cfg);
             expectClusterByteIdentical(serial, parallel);
-            EXPECT_EQ(serial_hash, timelineHash(parallel));
+            EXPECT_EQ(serial_hash, timelineHash(parallel.records));
         }
     }
 }
@@ -341,6 +343,154 @@ TEST(ParallelIdentity, ParallelRunsAreReproducible)
         expectClusterByteIdentical(first,
                                    runSample(s, 4, model, cfg));
     }
+}
+
+// ------------------------------------------------------------------
+// Same-instant ties at an iteration boundary. A replica's next
+// boundary runs inline, without a queue round trip, only when its
+// key is strictly below every pending event and the window bound;
+// these pins exercise the two ties that strictness exists for - an
+// arrival and a crash landing exactly on a boundary tick - at 1 and
+// 4 worker threads.
+
+struct TieRun
+{
+    /** Per-replica retired-request timelines. */
+    std::vector<std::vector<core::RequestRecord>> records;
+    /** Request ids the crash harvested from replica 0. */
+    std::vector<std::uint64_t> harvested;
+};
+
+/**
+ * Serve @p stream on two replicas driven directly (request-id parity
+ * routes), pre-routed onto the shards or delivered by global arrival
+ * events; crash replica 0 at @p crash_at when it is >= 0.
+ */
+TieRun
+runTie(const std::vector<llm::TimedRequest> &stream, unsigned workers,
+       bool pre_routed, double crash_at = -1.0)
+{
+    // One platform per replica, as in ClusterEngine: a platform's
+    // kernel memo is replica state, confined to the replica's shard.
+    const core::Platform p0(core::makePapiConfig());
+    const core::Platform p1(core::makePapiConfig());
+    const llm::ModelConfig model = llm::llama65b();
+    const llm::SpeculativeConfig spec;
+    const core::ServingOptions opt;
+    core::ServingSim r0(p0, spec, model, opt);
+    core::ServingSim r1(p1, spec, model, opt);
+    core::ServingEventDriver driver({&r0, &r1});
+    driver.setWorkerThreads(workers);
+    driver.setStateIndependentRouting(pre_routed);
+    TieRun out;
+    if (crash_at >= 0.0) {
+        driver.scheduleAt(crash_at, [&driver, &out, crash_at] {
+            for (const core::LostRequest &l :
+                 driver.crashReplica(0, crash_at))
+                out.harvested.push_back(l.request.request.id);
+        });
+    }
+    driver.runStream(stream, [](const llm::TimedRequest &r) {
+        return static_cast<std::uint32_t>(r.request.id % 2);
+    });
+    out.records = {r0.records(), r1.records()};
+    return out;
+}
+
+/**
+ * A retirement time on replica 0 while another of its requests stays
+ * in flight: an iteration boundary after which the replica schedules
+ * (or inlines) a next boundary. @p finisher receives the retiree.
+ */
+double
+busyBoundary(const std::vector<core::RequestRecord> &records,
+             std::uint64_t &finisher)
+{
+    for (const core::RequestRecord &r : records) {
+        for (const core::RequestRecord &o : records) {
+            if (o.admissionSeconds < r.finishSeconds &&
+                o.finishSeconds > r.finishSeconds) {
+                finisher = r.id;
+                return r.finishSeconds;
+            }
+        }
+    }
+    return -1.0;
+}
+
+std::vector<llm::TimedRequest>
+tieStream()
+{
+    llm::ArrivalProcess arrivals(llm::TraceCategory::GeneralQa, 20.0,
+                                 4242);
+    return arrivals.generate(16);
+}
+
+void
+expectTieRunsIdentical(const TieRun &a, const TieRun &b)
+{
+    ASSERT_EQ(a.records.size(), b.records.size());
+    for (std::size_t g = 0; g < a.records.size(); ++g) {
+        EXPECT_EQ(a.records[g].size(), b.records[g].size());
+        EXPECT_EQ(timelineHash(a.records[g]),
+                  timelineHash(b.records[g]));
+    }
+    EXPECT_EQ(a.harvested, b.harvested);
+}
+
+TEST(BoundaryTies, ArrivalOnABoundaryTickIsAdmittedByThatBoundary)
+{
+    for (const bool pre_routed : {true, false}) {
+        SCOPED_TRACE(pre_routed ? "pre-routed arrivals"
+                                : "global arrival events");
+        std::vector<llm::TimedRequest> stream = tieStream();
+        std::uint64_t finisher = 0;
+        const double t = busyBoundary(
+            runTie(stream, 1, pre_routed).records[0], finisher);
+        ASSERT_GT(t, 0.0);
+
+        // An extra request for replica 0 (even id) arriving exactly
+        // at that boundary: delivered first (arrival priority), it is
+        // admitted by the boundary itself; delivered after, it would
+        // wait for the replica's next boundary.
+        llm::TimedRequest extra = stream.front();
+        extra.request.id = 1000;
+        extra.arrivalSeconds = t;
+        const auto pos = std::upper_bound(
+            stream.begin(), stream.end(), t,
+            [](double v, const llm::TimedRequest &r) {
+                return v < r.arrivalSeconds;
+            });
+        stream.insert(pos, extra);
+
+        const TieRun serial = runTie(stream, 1, pre_routed);
+        const auto it = std::find_if(
+            serial.records[0].begin(), serial.records[0].end(),
+            [](const core::RequestRecord &r) { return r.id == 1000; });
+        ASSERT_NE(it, serial.records[0].end());
+        EXPECT_EQ(it->admissionSeconds, t);
+        expectTieRunsIdentical(serial, runTie(stream, 4, pre_routed));
+    }
+}
+
+TEST(BoundaryTies, CrashOnABoundaryTickBeatsThatBoundary)
+{
+    const std::vector<llm::TimedRequest> stream = tieStream();
+    std::uint64_t finisher = 0;
+    const double t = busyBoundary(
+        runTie(stream, 1, false).records[0], finisher);
+    ASSERT_GT(t, 0.0);
+
+    // The crash (fault priority) fires before the same-instant
+    // boundary, so the request that boundary would have retired is
+    // harvested instead, and replica 0 retires nothing at t.
+    const TieRun serial = runTie(stream, 1, false, t);
+    EXPECT_NE(std::find(serial.harvested.begin(),
+                        serial.harvested.end(), finisher),
+              serial.harvested.end());
+    for (const core::RequestRecord &r : serial.records[0])
+        EXPECT_LT(r.finishSeconds, t) << "request " << r.id;
+    expectTieRunsIdentical(serial, runTie(stream, 4, false, t));
 }
 
 } // namespace
