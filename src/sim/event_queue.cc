@@ -205,13 +205,15 @@ EventQueue::dispatch(const RunKey &key)
     }
 }
 
-void
-EventQueue::headKey(Tick &when, Priority &prio) const
+bool
+EventQueue::peekNextKey(Tick &when, Priority &prio) const
 {
+    if (_size == 0)
+        return false;
     if (!_runOrder.empty()) {
         when = _runOrder.back().when;
         prio = _runOrder.back().prio;
-        return;
+        return true;
     }
     if (_inWindow > 0) {
         // Every bucket entry is later than the run buffer and every
@@ -227,18 +229,10 @@ EventQueue::headKey(Tick &when, Priority &prio) const
                 prio = e.prio;
             }
         }
-        return;
+        return true;
     }
     when = _overflow.front().when;
     prio = _overflow.front().prio;
-}
-
-bool
-EventQueue::peekNextKey(Tick &when, Priority &prio) const
-{
-    if (_size == 0)
-        return false;
-    headKey(when, prio);
     return true;
 }
 
@@ -249,14 +243,11 @@ EventQueue::tryRunInline(Tick when, Priority prio)
         return false;
     if (when > _drainWhen || (when == _drainWhen && prio >= _drainPrio))
         return false;
-    if (_size > 0) {
-        Tick head_when;
-        Priority head_prio;
-        headKey(head_when, head_prio);
-        if (head_when < when ||
-            (head_when == when && head_prio <= prio))
-            return false;
-    }
+    Tick head_when = 0;
+    Priority head_prio = 0;
+    if (peekNextKey(head_when, head_prio) &&
+        (head_when < when || (head_when == when && head_prio <= prio)))
+        return false;
     _now = when;
     ++_executed;
     return true;

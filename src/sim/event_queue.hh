@@ -143,10 +143,11 @@ class EventQueue
 
     /**
      * Read the (tick, priority) key of the earliest pending event
-     * without executing it. Never mutates the queue, so it is safe
-     * from inside an executing closure (locating the head by draining
-     * the next calendar bucket would destroy the run the closure
-     * itself lives in).
+     * without executing it: the run buffer's back, else the minimum
+     * of the next occupied bucket, else the overflow heap's top.
+     * Never mutates the queue, so it is safe from inside an executing
+     * closure (locating the head by draining the next calendar bucket
+     * would destroy the run the closure itself lives in).
      *
      * @retval true @p when / @p prio hold the head event's key.
      * @retval false the queue is empty (outputs untouched).
@@ -287,10 +288,6 @@ class EventQueue
     void refillFromOverflow();
     /** Run every event strictly below (@p when, @p prio). */
     void drain(Tick when, std::int64_t prio);
-    /** Key of the earliest pending event without mutating the queue
-     *  (requires _size > 0): the run buffer's back, else the minimum
-     *  of the next occupied bucket, else the overflow heap's top. */
-    void headKey(Tick &when, Priority &prio) const;
 
     [[noreturn]] void pastPanic(Tick when) const;
     [[noreturn]] void nullPanic(Tick when) const;
