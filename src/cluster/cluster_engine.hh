@@ -7,9 +7,9 @@
  * Router, which fans requests out to independent core::Platform
  * instances - optionally stitched into tensor-parallel groups with
  * an explicit all-reduce cost over an interconnect::Link. Each
- * backend keeps its own DynamicScheduler state and threshold, so
- * the GPU <-> PIM reschedule dynamics the paper studies stay
- * per-shard, while latency SLO metrics (TTFT/TPOT percentiles,
+ * backend's ServingSim keeps its own FC PhaseDispatcher, threshold
+ * and reschedule count, so the GPU <-> PIM reschedule dynamics the
+ * paper studies stay per-shard, while latency SLO metrics (TTFT/TPOT percentiles,
  * queueing delay, per-platform utilization) aggregate across the
  * cluster.
  *

@@ -143,9 +143,9 @@ struct DispatchDecision
 };
 
 /**
- * The paper's Section 5 rule, shared by DynamicScheduler and
- * PhaseDispatcher: estimate AI from the parallelism and route
- * estimates strictly greater than @p alpha to @p pair.above.
+ * The paper's Section 5 rule behind PhaseDispatcher's Threshold
+ * policy: estimate AI from the parallelism and route estimates
+ * strictly greater than @p alpha to @p pair.above.
  */
 DispatchDecision thresholdDecision(double alpha, std::uint32_t rlp,
                                    std::uint32_t tlp,

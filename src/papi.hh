@@ -62,10 +62,10 @@
 #include "core/ai_estimator.hh"
 #include "core/config_loader.hh"
 #include "core/decode_engine.hh"
+#include "core/dispatch_policy.hh"
 #include "core/metrics.hh"
 #include "core/platform.hh"
 #include "core/report.hh"
-#include "core/scheduler.hh"
 #include "core/serving_engine.hh"
 #include "core/threshold_calibrator.hh"
 

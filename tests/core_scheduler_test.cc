@@ -1,14 +1,14 @@
 /**
  * @file
- * Tests for the AI estimator, threshold calibrator, and dynamic
- * scheduler - the paper's Section 5 mechanisms.
+ * Tests for the AI estimator, threshold calibrator, and the
+ * threshold dispatch rule - the paper's Section 5 mechanisms.
  */
 
 #include <gtest/gtest.h>
 
 #include "core/ai_estimator.hh"
+#include "core/dispatch_policy.hh"
 #include "core/platform.hh"
-#include "core/scheduler.hh"
 #include "core/threshold_calibrator.hh"
 #include "llm/model_config.hh"
 #include "sim/logging.hh"
@@ -18,7 +18,6 @@ namespace {
 using namespace papi::core;
 namespace llm = papi::llm;
 using papi::sim::FatalError;
-using papi::sim::PanicError;
 
 TEST(AiEstimator, EstimateIsRlpTimesTlp)
 {
@@ -54,100 +53,56 @@ TEST(AiEstimator, EstimateOverpredictsAtExtremeParallelism)
     EXPECT_GT(est.measured(128, 8), 500.0); // still clearly compute-bound
 }
 
-// The default scheduler pair is {below=0, above=1}: target ids are
-// opaque labels drawn from a platform's registry.
+// The default pair is {below=0, above=1}: target ids are opaque
+// labels drawn from a platform's registry.
 constexpr TargetId kBelow = 0; // memory-bound side (the paper's PIM)
 constexpr TargetId kAbove = 1; // compute-bound side (the paper's GPU)
 
 TEST(Scheduler, RoutesByThreshold)
 {
-    DynamicScheduler sched(/*alpha=*/24.0, /*rlp=*/64, /*tlp=*/1);
-    ScheduleDecision d = sched.initialSchedule();
+    DispatchDecision d = thresholdDecision(/*alpha=*/24.0, /*rlp=*/64,
+                                           /*tlp=*/1, {}, {});
     EXPECT_EQ(d.target, kAbove); // 64 > 24
     EXPECT_DOUBLE_EQ(d.estimatedAi, 64.0);
 
-    DynamicScheduler low(24.0, 4, 2);
-    EXPECT_EQ(low.initialSchedule().target, kBelow); // 8 < 24
+    EXPECT_EQ(thresholdDecision(24.0, 4, 2, {}, {}).target,
+              kBelow); // 8 < 24
+}
+
+TEST(Scheduler, AlphaItselfStaysOnTheMemoryBoundSide)
+{
+    // Strictly greater than alpha is compute-bound; AI == alpha is
+    // not.
+    EXPECT_EQ(thresholdDecision(24.0, 25, 1, {}, {}).target, kAbove);
+    DispatchDecision at = thresholdDecision(24.0, 24, 1, {}, {});
+    EXPECT_DOUBLE_EQ(at.estimatedAi, 24.0);
+    EXPECT_EQ(at.target, kBelow);
+    EXPECT_EQ(thresholdDecision(24.0, 12, 2, {}, {}).target, kBelow);
 }
 
 TEST(Scheduler, GenericOverArbitraryTargetPairs)
 {
     // The threshold rule is pair-agnostic: any two registry ids -
-    // e.g. two PIM device classes - schedule exactly like the
+    // e.g. two PIM device classes - dispatch exactly like the
     // paper's (FC-PIM, GPU) pair.
     TargetPair pair;
     pair.below = 7;
     pair.above = 3;
-    DynamicScheduler sched(24.0, 64, 1, {}, pair);
-    EXPECT_EQ(sched.initialSchedule().target, 3u);
-    EXPECT_EQ(sched.observeStep(40).target, 7u); // RLP 24 <= alpha
-    EXPECT_EQ(sched.reschedules(), 1u);
-    EXPECT_THROW(DynamicScheduler(24.0, 4, 1, {}, TargetPair{2, 2}),
-                 FatalError);
+    EXPECT_EQ(thresholdDecision(24.0, 64, 1, {}, pair).target, 3u);
+    EXPECT_EQ(thresholdDecision(24.0, 24, 1, {}, pair).target,
+              7u); // RLP 24 <= alpha
 }
 
-TEST(Scheduler, ReschedulesWhenRlpDecaysPastThreshold)
+TEST(Scheduler, RaisingTlpFlipsTheTarget)
 {
-    DynamicScheduler sched(24.0, 32, 1);
-    EXPECT_EQ(sched.initialSchedule().target, kAbove);
-
-    // 8 requests finish: RLP 32 -> 24; 24 <= alpha -> move to PIM.
-    ScheduleDecision d = sched.observeStep(8);
-    EXPECT_EQ(sched.rlp(), 24u);
+    // Host software raising the speculation length moves the same
+    // RLP across alpha.
+    DispatchDecision d = thresholdDecision(24.0, 8, 1, {}, {});
+    EXPECT_DOUBLE_EQ(d.estimatedAi, 8.0);
     EXPECT_EQ(d.target, kBelow);
-    EXPECT_TRUE(d.rescheduled);
-    EXPECT_EQ(sched.reschedules(), 1u);
-
-    // Further decay keeps the target stable - no more switches.
-    d = sched.observeStep(10);
-    EXPECT_EQ(d.target, kBelow);
-    EXPECT_FALSE(d.rescheduled);
-    EXPECT_EQ(sched.reschedules(), 1u);
-}
-
-TEST(Scheduler, TlpRegisterUpdateChangesDecision)
-{
-    DynamicScheduler sched(24.0, 8, 1);
-    EXPECT_EQ(sched.initialSchedule().target, kBelow); // 8
-    sched.setTlp(4); // host software raised speculation length
-    ScheduleDecision d = sched.observeStep(0);
+    d = thresholdDecision(24.0, 8, 4, {}, {});
     EXPECT_DOUBLE_EQ(d.estimatedAi, 32.0);
     EXPECT_EQ(d.target, kAbove);
-    EXPECT_TRUE(d.rescheduled);
-}
-
-TEST(Scheduler, EosBeyondRlpPanics)
-{
-    DynamicScheduler sched(24.0, 4, 1);
-    sched.initialSchedule();
-    EXPECT_THROW(sched.observeStep(5), PanicError);
-}
-
-TEST(Scheduler, DrainedBatchReturnsLastTarget)
-{
-    DynamicScheduler sched(24.0, 2, 1);
-    EXPECT_EQ(sched.initialSchedule().target, kBelow);
-    ScheduleDecision d = sched.observeStep(2);
-    EXPECT_EQ(sched.rlp(), 0u);
-    EXPECT_EQ(d.target, kBelow);
-}
-
-TEST(Scheduler, InvalidConstructionIsFatal)
-{
-    EXPECT_THROW(DynamicScheduler(0.0, 4, 1), FatalError);
-    EXPECT_THROW(DynamicScheduler(24.0, 0, 1), FatalError);
-    EXPECT_THROW(DynamicScheduler(24.0, 4, 0), FatalError);
-}
-
-TEST(Scheduler, PeekDoesNotMutate)
-{
-    DynamicScheduler sched(24.0, 16, 1);
-    sched.initialSchedule();
-    std::uint64_t before = sched.decisions();
-    ScheduleDecision d = sched.peek(64, 2);
-    EXPECT_EQ(d.target, kAbove);
-    EXPECT_EQ(sched.decisions(), before);
-    EXPECT_EQ(sched.rlp(), 16u);
 }
 
 class CalibratorTest : public ::testing::Test
