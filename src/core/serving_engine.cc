@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "core/metrics.hh"
-#include "core/serving_events.hh"
 #include "sim/logging.hh"
 
 namespace papi::core {
@@ -1502,13 +1501,20 @@ ServingEngine::run(const std::vector<llm::TimedRequest> &stream,
 
     // The stream is delivered up front (admission sees the full
     // arrival schedule, which the batch-level fill rule's lookahead
-    // needs) and the lifecycle runs as events on a sim::EventQueue -
-    // executing exactly the historical step() sequence.
+    // needs), then the one decode loop DecodeEngine::run also uses
+    // drives it to completion.
     ServingSim sim(_platform, spec, model, options);
     for (const auto &tr : stream)
         sim.deliver(tr);
-    ServingEventDriver driver({&sim});
-    driver.runPredelivered();
+    while (sim.canStep())
+        sim.step();
+    // Parked work the loop cannot reach: preempted requests that
+    // never re-admitted, or handoffs with no decode pool to take
+    // them (a Prefill-role sim outside a disaggregated cluster).
+    if (sim.preemptedCount() > 0 || sim.hasHandoffs())
+        sim::fatal("ServingEngine: work still parked after the "
+                   "stream drained (preempted requests could not be "
+                   "re-admitted - KV pool too small?)");
     return sim.finish();
 }
 

@@ -7,15 +7,14 @@
  *
  *  - ServingEngine::run() serves a complete arrival stream on one
  *    platform, the single-platform path used by tests and figure
- *    benchmarks (event-driven via core::ServingEventDriver in
- *    pre-delivered mode).
+ *    benchmarks: it delivers the stream up front and runs the
+ *    while (canStep()) step() loop.
  *  - cluster::ClusterEngine composes one ServingSim per platform
  *    group on a shared sim::EventQueue, delivering arrivals
  *    incrementally through a front-end router
- *    (core::ServingEventDriver in streamed mode). The event order
- *    reproduces the operation sequence of the original monolithic
- *    loop exactly, so single-platform results are bit-identical
- *    across both paths.
+ *    (core::ServingEventDriver). The event order reproduces that
+ *    loop's operation sequence exactly, so single-platform results
+ *    are bit-identical across both paths.
  *  - DecodeEngine::run() (the paper's static-batch evaluation) is an
  *    adapter over the same core: a static batch is a stream whose
  *    requests all arrive at t=0 under batch-level admission with no

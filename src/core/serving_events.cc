@@ -363,6 +363,14 @@ ServingEventDriver::runStream(
 {
     if (!route)
         sim::fatal("ServingEventDriver: no routing function");
+    // Checked once here so the pre-routed fast path rejects an
+    // unsorted stream exactly as the generated path does.
+    for (std::size_t i = 1; i < stream.size(); ++i) {
+        if (stream[i].arrivalSeconds < stream[i - 1].arrivalSeconds)
+            sim::fatal("ServingEventDriver: arrivals must be sorted (",
+                       stream[i].arrivalSeconds, " after ",
+                       stream[i - 1].arrivalSeconds, ")");
+    }
     if (!stream.empty() && !fastPathEligible()) {
         // Dynamic routing: the generated path over a vector cursor
         // (a vector and a generator of the same sequence are one
@@ -373,7 +381,6 @@ ServingEventDriver::runStream(
         return;
     }
     // Pre-routed fast path (an empty stream just drains).
-    _streamed = true;
     _undelivered = stream.size();
     preRouteStream(stream, route);
     runQueues();
@@ -393,7 +400,6 @@ ServingEventDriver::runStreamGenerated(
         sim::fatal("ServingEventDriver: no routing function");
     if (count == 0)
         sim::fatal("ServingEventDriver: empty generated stream");
-    _streamed = true;
     _undelivered = count;
 
     // One-arrival lookahead: the head is the next burst's first
@@ -458,16 +464,6 @@ ServingEventDriver::runStreamGenerated(
 }
 
 void
-ServingEventDriver::runPredelivered()
-{
-    _streamed = false;
-    _undelivered = 0;
-    pokeIdleReplicas();
-    runQueues();
-    checkDrained();
-}
-
-void
 ServingEventDriver::pokeIdleReplicas()
 {
     // Index order mirrors the retired loop's top-of-pass sweep.
@@ -494,13 +490,12 @@ ServingEventDriver::idlePoke(std::uint32_t g)
     }
     const bool batch_level =
         s.servingOptions().admission == AdmissionPolicy::BatchLevel;
-    if (!_streamed || !batch_level) {
-        // Token-level admission (or the pre-delivered path, where
-        // stepIdle sees the full stream): start right away.
+    if (!batch_level) {
+        // Token-level admission: start right away.
         startBatch(g);
         return;
     }
-    // Streamed batch-level admission: start once the batch is full
+    // Batch-level admission: start once the batch is full
     // or no further arrival can ever join, otherwise arm the fill
     // timeout for this idle spell.
     if (s.pendingCount() >= s.servingOptions().maxRlp ||

@@ -9,7 +9,7 @@
  * batch-level fill timeouts), iteration boundaries, preemption
  * resume, completion - as scheduled events instead of a hand-rolled
  * peek-and-step co-simulation loop. Seconds map onto the queue's
- * tick axis through sim::Timeline's order-preserving encoding, so
+ * tick axis through sim::orderedTick's order-preserving encoding, so
  * the event order is *exactly* the (time, kind, replica-index,
  * sequence) order the retired manual loop produced:
  *
@@ -24,20 +24,17 @@
  *    and boundaries (priority 2), so a decode replica's same-instant
  *    admission sees the migrated request.
  *
- * Two drive modes share the machinery:
- *
- *  - runStream(): arrivals are delivered at their timestamps
- *    through a caller-supplied routing function (the cluster path).
- *    Batch-level admission works here because the queue gives the
- *    needed lookahead for free: a batch starts when it fills
- *    (maxRlp pending), when the fill timeout expires, or when the
- *    stream is exhausted - whichever event fires first.
- *  - runPredelivered(): the whole stream is already in the sims'
- *    pending queues (the single-platform ServingEngine::run path);
- *    only idle-admission and boundary events are scheduled, and the
- *    executed operation sequence is exactly the historical
- *    while(canStep) step() loop - which is what keeps the
- *    fixed-seed serving pins bit-identical.
+ * Arrivals are delivered at their timestamps through a
+ * caller-supplied routing function (runStream / runStreamGenerated,
+ * the cluster path). Batch-level admission works here because the
+ * queue gives the needed lookahead for free: a batch starts when it
+ * fills (maxRlp pending), when the fill timeout expires, or when the
+ * stream is exhausted - whichever event fires first. A
+ * state-independent router may instead pre-route the whole stream
+ * onto the replicas' shards (setStateIndependentRouting); the run is
+ * byte-identical either way. The single-platform ServingEngine::run does
+ * not use the driver: it delivers its stream up front and steps one
+ * ServingSim directly.
  *
  * Parallel execution (setWorkerThreads): replicas shard across a
  * sim::ParallelTimeline - each replica's private lifecycle events
@@ -169,10 +166,10 @@ class ServingEventDriver
      * Serve @p stream to completion: every arrival is scheduled at
      * its timestamp, routed through @p route at delivery time, and
      * the replicas' admission/boundary events interleave with the
-     * arrivals on the shared queue. Arrivals must be sorted;
-     * @p route must return an index < the replica count. Unless the
-     * pre-routed fast path applies, this is runStreamGenerated()
-     * over the vector.
+     * arrivals on the shared queue. Arrivals must be sorted (fatal
+     * otherwise, on either path); @p route must return an index <
+     * the replica count. Unless the pre-routed fast path applies,
+     * this is runStreamGenerated() over the vector.
      */
     void runStream(const std::vector<llm::TimedRequest> &stream,
                    const RouteFn &route);
@@ -194,14 +191,6 @@ class ServingEventDriver
     void
     runStreamGenerated(const std::function<llm::TimedRequest()> &next,
                        std::uint64_t count, const RouteFn &route);
-
-    /**
-     * Drive replicas whose pending queues were filled up front
-     * (no arrival events; admission sees the full stream, which is
-     * what the batch-level fill rule's lookahead semantics and the
-     * historical single-platform pins require).
-     */
-    void runPredelivered();
 
     // ---- Fault-injection hooks (driven by cluster::FaultInjector;
     // ---- unused = zero behavioral change, pinned byte-identical).
@@ -459,7 +448,6 @@ class ServingEventDriver
     /** Fast path: per-shard arrival indices into the caller's
      *  stream, in stream order (cleared after the run). */
     std::vector<std::vector<std::uint32_t>> _preRouted;
-    bool _streamed = false;     ///< runStream vs runPredelivered.
     std::size_t _undelivered = 0; ///< Arrivals not yet delivered.
     /** Per-replica deadline generation; stale events no-op. */
     std::vector<std::uint64_t> _deadlineGen;

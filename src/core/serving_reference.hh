@@ -18,8 +18,8 @@
  * core/serving_engine.hh, so both implementations are driven and
  * compared through identical types. The ServingEngine wrapper is not
  * reproduced; reference runs are driven by the manual
- * while (canStep()) step() loop, which runPredelivered() reproduces
- * exactly (pinned since PR 4).
+ * while (canStep()) step() loop, the same loop ServingEngine::run
+ * runs.
  */
 
 #ifndef PAPI_CORE_SERVING_REFERENCE_HH

@@ -493,4 +493,22 @@ TEST(BoundaryTies, CrashOnABoundaryTickBeatsThatBoundary)
     expectTieRunsIdentical(serial, runTie(stream, 4, false, t));
 }
 
+TEST(BoundaryTies, UnsortedStreamIsFatalOnBothArrivalPaths)
+{
+    // The pre-routed fast path must reject an out-of-order stream
+    // exactly as the global-arrival path does, not serve it.
+    std::vector<llm::TimedRequest> stream = tieStream();
+    stream.resize(3);
+    const double times[] = {2.0, 1.0, 0.5};
+    for (std::size_t i = 0; i < stream.size(); ++i) {
+        stream[i].request.id = i;
+        stream[i].arrivalSeconds = times[i];
+    }
+    for (const bool pre_routed : {true, false}) {
+        SCOPED_TRACE(pre_routed ? "pre-routed arrivals"
+                                : "global arrival events");
+        EXPECT_THROW(runTie(stream, 1, pre_routed), sim::FatalError);
+    }
+}
+
 } // namespace

@@ -335,8 +335,9 @@ TEST(KvPreemption, WorksCombinedWithChunkedPrefillUnderCluster)
 TEST(ServingEventDriver, DuplicateArrivalTimesKeepN1Identity)
 {
     // Two same-instant arrivals to an idle replica must prefill as
-    // one batch on both the pre-delivered (ServingEngine) and the
-    // streamed (cluster) paths - the arrival-burst coalescing rule.
+    // one batch on both the step-loop (ServingEngine) and the
+    // event-driven (cluster) paths - the arrival-burst coalescing
+    // rule.
     PlatformConfig cfg = makePapiConfig();
     llm::ModelConfig model = llm::llama65b();
     llm::SpeculativeConfig spec;

@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "cluster/cluster_engine.hh"
 #include "core/platform.hh"
 #include "core/serving_engine.hh"
 #include "dram/controller.hh"
@@ -573,21 +574,34 @@ TEST(DeterminismRegression, FixedSeedServingRunMetricsPinned)
     opt.maxRlp = 16;
     opt.alpha = 24.0;
     opt.seed = 7;
+    const auto check = [](const papi::core::ServingResult &sr) {
+        EXPECT_NEAR(sr.makespanSeconds, 4.0089930501254738, 1e-9);
+        EXPECT_NEAR(sr.energyJoules, 6589.4000538320388, 1e-5);
+        EXPECT_EQ(sr.iterations, 277u);
+        EXPECT_EQ(sr.tokensGenerated, 9946u);
+        EXPECT_EQ(sr.admissions, 24u);
+        EXPECT_EQ(sr.reschedules, 2u);
+        EXPECT_EQ(sr.fcOnGpuIterations, 170u);
+        EXPECT_EQ(sr.fcOnPimIterations, 107u);
+        EXPECT_NEAR(sr.meanLatencySeconds, 1.876133530941029, 1e-9);
+        EXPECT_NEAR(sr.p95LatencySeconds, 3.1589930501254737, 1e-9);
+        EXPECT_NEAR(sr.meanRlp, 9.7438826274548873, 1e-9);
+        EXPECT_NEAR(sr.peakKvUtilization, 0.023553382233088834,
+                    1e-12);
+    };
     papi::core::ServingEngine serving(papi_sys);
-    auto sr = serving.run(stream, spec, model, opt);
+    check(serving.run(stream, spec, model, opt));
 
-    EXPECT_NEAR(sr.makespanSeconds, 4.0089930501254738, 1e-9);
-    EXPECT_NEAR(sr.energyJoules, 6589.4000538320388, 1e-5);
-    EXPECT_EQ(sr.iterations, 277u);
-    EXPECT_EQ(sr.tokensGenerated, 9946u);
-    EXPECT_EQ(sr.admissions, 24u);
-    EXPECT_EQ(sr.reschedules, 2u);
-    EXPECT_EQ(sr.fcOnGpuIterations, 170u);
-    EXPECT_EQ(sr.fcOnPimIterations, 107u);
-    EXPECT_NEAR(sr.meanLatencySeconds, 1.876133530941029, 1e-9);
-    EXPECT_NEAR(sr.p95LatencySeconds, 3.1589930501254737, 1e-9);
-    EXPECT_NEAR(sr.meanRlp, 9.7438826274548873, 1e-9);
-    EXPECT_NEAR(sr.peakKvUtilization, 0.023553382233088834, 1e-12);
+    // The same stream on a 1-replica cluster runs the lifecycle as
+    // sim::EventQueue events; the pins hold there too.
+    papi::cluster::ClusterOptions copt;
+    copt.numPlatforms = 1;
+    copt.serving = opt;
+    papi::cluster::ClusterResult cr =
+        papi::cluster::ClusterEngine(papi::core::makePapiConfig(), copt)
+            .run(stream, spec, model);
+    ASSERT_EQ(cr.perGroup.size(), 1u);
+    check(cr.perGroup[0]);
 }
 
 TEST(DeterminismRegression, FixedSeedDramRunCompletionsPinned)
