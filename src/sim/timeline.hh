@@ -1,22 +1,22 @@
 /**
  * @file
- * Second-domain scheduling over the tick-domain event queue.
+ * Second-domain time on the tick-domain event queue.
  *
  * The serving layer accounts time in seconds (double), while
  * sim::EventQueue orders events by integral Tick. Quantizing seconds
  * to picoseconds would let two distinct double timestamps collide in
  * one tick and flip their order relative to a plain double
  * comparison - which would break the serving stack's bit-identity
- * pins. Instead, Timeline maps non-negative doubles onto ticks with
- * an order-preserving *encoding*: the IEEE-754 bit pattern of a
+ * pins. Instead, orderedTick maps non-negative doubles onto ticks
+ * with an order-preserving *encoding*: the IEEE-754 bit pattern of a
  * non-negative double, read as an unsigned integer, is monotone in
  * the double's value, and equal doubles map to equal ticks. The tick
- * axis of a Timeline-driven queue is therefore ordinal, not metric:
- * ordering (and tie-breaking by priority and insertion sequence) is
- * exact, but tick differences are meaningless, so a queue instance
- * driven through a Timeline must never also carry physical
- * picosecond events. This is the hook that lets a hierarchy of
- * second-domain simulations (N serving replicas, their admission
+ * axis of a queue scheduled through orderedTick is therefore
+ * ordinal, not metric: ordering (and tie-breaking by priority and
+ * insertion sequence) is exact, but tick differences are
+ * meaningless, so such a queue instance must never also carry
+ * physical picosecond events. This is the hook that lets a hierarchy
+ * of second-domain simulations (N serving replicas, their admission
  * deadlines, the shared arrival stream) compose on one deterministic
  * event core.
  */
@@ -30,7 +30,6 @@
 #include <limits>
 #include <type_traits>
 
-#include "sim/event_queue.hh"
 #include "sim/logging.hh"
 #include "sim/types.hh"
 
@@ -63,7 +62,7 @@ inline Tick
 orderedTick(double seconds)
 {
     if (!(seconds >= 0.0) || !std::isfinite(seconds))
-        fatal("Timeline: cannot encode time ", seconds,
+        fatal("orderedTick: cannot encode time ", seconds,
               " s (must be finite and non-negative)");
     // -0.0 passes the guard but its bit pattern (sign bit set) would
     // encode above every positive double; normalize it to +0.0.
@@ -76,45 +75,6 @@ orderedSeconds(Tick tick)
 {
     return std::bit_cast<double>(static_cast<std::uint64_t>(tick));
 }
-
-/**
- * A seconds-facing view of one EventQueue. Multiple Timelines may
- * share a queue (hierarchical composition); all of them must use the
- * ordinal encoding. Scheduling clamps to the queue's current tick:
- * a simulation component whose local clock lags the global order
- * (e.g. a batch whose admission was decided at a deadline but
- * time-stamped at its last member's arrival) schedules its next
- * event "now" rather than panicking about the past.
- */
-class Timeline
-{
-  public:
-    /** @param queue The shared tick-domain queue to schedule on. */
-    explicit Timeline(EventQueue &queue) : _queue(queue) {}
-
-    /** The underlying tick-domain queue. */
-    EventQueue &queue() { return _queue; }
-
-    /**
-     * Schedule @p fn at @p seconds (clamped to the queue's present)
-     * with tie-break priority @p prio.
-     */
-    template <typename F>
-    void
-    at(double seconds, Priority prio, F &&fn)
-    {
-        Tick when = orderedTick(seconds);
-        if (when < _queue.now())
-            when = _queue.now();
-        _queue.schedule(when, std::forward<F>(fn), prio);
-    }
-
-    /** Drain the queue to completion. */
-    void run() { _queue.run(); }
-
-  private:
-    EventQueue &_queue;
-};
 
 } // namespace papi::sim
 
