@@ -9,8 +9,9 @@
  * inlineCapacity bytes inline (no heap allocation) and is move-only,
  * so queue maintenance relocates closures instead of copying them.
  *
- * Relocation is the hot operation (queues sort and shuffle entries
- * constantly), so it is a plain memcpy whenever the callable permits:
+ * Relocation is the hot operation (the queue moves every callback
+ * out of its slab to run it, and slab growth moves them all), so it
+ * is a plain memcpy whenever the callable permits:
  * trivially-copyable captures (the overwhelming majority of device
  * events - a few pointers and integers) and the heap-fallback pointer
  * both relocate without any indirect call. Only inline non-trivial
@@ -170,11 +171,13 @@ class EventCallback
 };
 
 // ---- compile-time contract ------------------------------------
-// The calendar queue relocates EventCallbacks with plain memcpy when
-// the held callable permits (trivialOps/heapOps have relocate ==
-// nullptr), and sorts millions of them per run. These asserts pin
-// the assumptions that make that safe and fast; if one fires, the
-// queue's relocation strategy - not just this file - must change.
+// EventQueue relocates EventCallbacks with plain memcpy when the held
+// callable permits (trivialOps/heapOps have relocate == nullptr): each
+// dispatch moves the head's callback out of the slab, a recycled slot
+// takes a new one by move, and slab growth moves every held callback.
+// These asserts pin the assumptions that make that safe and fast; if
+// one fires, the queue's slab strategy - not just this file - must
+// change.
 
 // The SBO threshold is part of the performance contract: a typical
 // device-event capture (a handful of pointers plus a tick or two of
@@ -184,17 +187,17 @@ static_assert(EventCallback::inlineCapacity >= 6 * sizeof(void *),
               "EventCallback SBO must hold a typical device-event "
               "capture (a few pointers + integers) inline");
 // moveFrom() memcpys the whole buffer without consulting the held
-// type; any growth here is paid by EVERY queue reshuffle, so it must
-// be deliberate, not incidental.
+// type; any growth here is paid by EVERY dispatch and slab growth, so
+// it must be deliberate, not incidental.
 static_assert(sizeof(EventCallback) <=
                   EventCallback::inlineCapacity +
                       2 * sizeof(void *) + alignof(std::max_align_t),
               "EventCallback layout grew beyond buffer + vtable "
               "pointer: queue entries are relocated by memcpy and "
               "sized to this budget");
-// Queue maintenance must never throw mid-reshuffle (a half-moved
-// entry would corrupt the calendar), and copying a move-only closure
-// must stay impossible.
+// Slab maintenance must never throw mid-move (a half-moved callback
+// would corrupt the slab, and vector growth would fall back to
+// copying), and copying a move-only closure must stay impossible.
 static_assert(std::is_nothrow_move_constructible_v<EventCallback> &&
                   std::is_nothrow_move_assignable_v<EventCallback>,
               "queue relocation relies on noexcept moves");

@@ -8,18 +8,18 @@
  * instance; devices never keep their own notion of "now".
  *
  * EventQueue is the production implementation: an allocation-free
- * two-level calendar queue (near-future ticks live in fixed-width
- * buckets, far-future events in a binary-heap overflow) holding
- * small-buffer-optimized callbacks (sim::EventCallback). It preserves
- * the exact (tick, priority, seq) total order of the original
- * binary-heap design, which is kept verbatim as LegacyEventQueue so
- * benchmarks can compare both in one run and tests can assert
- * execution-order equivalence.
+ * binary heap of small keys over a slab of small-buffer-optimized
+ * callbacks (sim::EventCallback). It keeps the exact (tick, priority,
+ * seq) total order of the original std::function binary-heap design,
+ * which is kept verbatim as LegacyEventQueue so benchmarks can
+ * compare both in one run and tests can assert execution-order
+ * equivalence.
  */
 
 #ifndef PAPI_SIM_EVENT_QUEUE_HH
 #define PAPI_SIM_EVENT_QUEUE_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <limits>
@@ -47,19 +47,20 @@ constexpr Priority statsPriority = 1000;
  * event. Events scheduled in the past cause a panic since that always
  * indicates a simulator bug.
  *
- * Internally a two-level calendar queue: ticks within
- * [windowStart, windowStart + numBuckets * bucketWidth) hash into
- * fixed-width buckets (appended unsorted, sorted once when the bucket
- * becomes current), later ticks sit in a min-heap overflow that is
- * drained into the window as it advances. All paths are allocation-free
- * in steady state: bucket vectors and the run buffer retain their
- * capacity, and callbacks with captures <= EventCallback::inlineCapacity
- * bytes never touch the heap.
+ * Internally one binary min-heap of 24-byte (tick, priority, slot, seq)
+ * keys over a slab of callbacks. A key names its callback by slab
+ * slot; freed slots are recycled through a free list. Dispatch moves
+ * the head's callback out of the slab into a local and frees its slot
+ * before running it, so a closure may schedule (and grow the slab)
+ * freely. All paths are allocation-free in steady state: the heap,
+ * slab and free list retain their capacity, and callbacks with
+ * captures <= EventCallback::inlineCapacity bytes never touch the
+ * heap.
  */
 class EventQueue
 {
   public:
-    EventQueue();
+    EventQueue() = default;
 
     EventQueue(const EventQueue &) = delete;
     EventQueue &operator=(const EventQueue &) = delete;
@@ -68,10 +69,10 @@ class EventQueue
     Tick now() const { return _now; }
 
     /** Number of events pending execution. */
-    std::size_t pending() const { return _size; }
+    std::size_t pending() const { return _heap.size(); }
 
     /** True if no events are pending. */
-    bool empty() const { return _size == 0; }
+    bool empty() const { return _heap.empty(); }
 
     /** Total number of events executed so far. */
     std::uint64_t executed() const { return _executed; }
@@ -79,9 +80,9 @@ class EventQueue
     /**
      * Schedule a closure to run at an absolute tick.
      *
-     * Inlined so the closure is type-erased directly into queue
-     * storage - the hot path constructs exactly one EventCallback,
-     * in place, with no intermediate moves.
+     * Inlined so the closure is type-erased straight into the
+     * callback slab: a fresh slot constructs the EventCallback in
+     * place, a recycled slot takes it by one move.
      *
      * @param when Absolute tick; must be >= now().
      * @param fn Closure to run.
@@ -99,22 +100,16 @@ class EventQueue
                 nullPanic(when);
         }
 
-        const std::uint64_t seq = _nextSeq++;
-        if (when > curBucketEnd() && when <= windowEnd()) {
-            const std::size_t idx =
-                static_cast<std::size_t>(when >> kShift) & kMask;
-            _buckets[idx].emplace_back(when, prio, seq,
-                                       std::forward<F>(fn));
-            setOccupied(idx);
-            ++_inWindow;
-        } else if (when <= curBucketEnd()) {
-            insertIntoRun(when, prio, seq,
-                          EventCallback(std::forward<F>(fn)));
+        auto slot = static_cast<std::uint32_t>(_slots.size());
+        if (_free.empty()) {
+            _slots.emplace_back(std::forward<F>(fn));
         } else {
-            pushOverflow(when, prio, seq,
-                         EventCallback(std::forward<F>(fn)));
+            slot = _free.back();
+            _free.pop_back();
+            _slots[slot] = EventCallback(std::forward<F>(fn));
         }
-        ++_size;
+        _heap.push_back(Key{when, prio, slot, _nextSeq++});
+        std::push_heap(_heap.begin(), _heap.end(), laterThan);
     }
 
     /** Schedule a closure to run @p delta ticks from now. */
@@ -143,11 +138,8 @@ class EventQueue
 
     /**
      * Read the (tick, priority) key of the earliest pending event
-     * without executing it: the run buffer's back, else the minimum
-     * of the next occupied bucket, else the overflow heap's top.
-     * Never mutates the queue, so it is safe from inside an executing
-     * closure (locating the head by draining the next calendar bucket
-     * would destroy the run the closure itself lives in).
+     * without executing it: the heap's front. Never mutates the
+     * queue, so it is safe from inside an executing closure.
      *
      * @retval true @p when / @p prio hold the head event's key.
      * @retval false the queue is empty (outputs untouched).
@@ -190,45 +182,14 @@ class EventQueue
      */
     bool tryRunInline(Tick when, Priority prio);
 
-    /** Drop all pending events without executing them. */
-    void clear();
-
-    /** Calendar geometry (exposed for boundary-case tests). */
-    static constexpr Tick bucketWidth() { return Tick(1) << kShift; }
-    static constexpr std::size_t numBuckets() { return kBuckets; }
-
   private:
-    /** log2 of the tick range covered by one bucket. */
-    static constexpr unsigned kShift = 7;
-    /** Buckets in the calendar window (power of two). */
-    static constexpr std::size_t kBuckets = 8192;
-    static constexpr std::size_t kMask = kBuckets - 1;
-    static constexpr Tick kSpan = Tick(kBuckets) << kShift;
-    /** Up to this many buckets are batched into one drain run. */
-    static constexpr std::size_t kMaxStores = 4;
-    /** Stop batching once a drain run holds this many events. */
-    static constexpr std::size_t kBatchTarget = 8;
-
-    struct Entry
+    /** Heap key: the ordering fields plus the callback's slab slot. */
+    struct Key
     {
         Tick when;
         Priority prio;
+        std::uint32_t slot;
         std::uint64_t seq; // insertion order for determinism
-        EventCallback fn;
-    };
-
-    /**
-     * Sort key for the current drain run: ordering fields plus the
-     * entry's location packed as (store index << 20) | entry index.
-     * Sorting 24-byte keys instead of 80-byte entries keeps the
-     * per-run sort cheap. The high bit selects the spill store.
-     */
-    struct RunKey
-    {
-        Tick when;
-        Priority prio;
-        std::uint32_t idx;
-        std::uint64_t seq;
     };
 
     /** Drain-bound priority of run(horizon): above every Priority,
@@ -236,14 +197,10 @@ class EventQueue
     static constexpr std::int64_t kAfterAnyPriority =
         std::int64_t(std::numeric_limits<Priority>::max()) + 1;
 
-    static constexpr std::uint32_t kExtraFlag = 0x80000000u;
-    static constexpr unsigned kStoreShift = 20;
-    static constexpr std::uint32_t kEntryMask =
-        (1u << kStoreShift) - 1;
-
-    /** Strict (when, prio, seq) "runs later" order. */
+    /** Strict (when, prio, seq) "runs later" order; with
+     *  std::push_heap it keeps the earliest key at the front. */
     static bool
-    laterThan(const Entry &a, const Entry &b)
+    laterThan(const Key &a, const Key &b)
     {
         if (a.when != b.when)
             return a.when > b.when;
@@ -252,92 +209,30 @@ class EventQueue
         return a.seq > b.seq;
     }
 
-    static bool
-    keyLater(const RunKey &a, const RunKey &b)
-    {
-        if (a.when != b.when)
-            return a.when > b.when;
-        if (a.prio != b.prio)
-            return a.prio > b.prio;
-        return a.seq > b.seq;
-    }
-
-    /** Inclusive last tick of the current bucket. */
-    Tick
-    curBucketEnd() const
-    {
-        constexpr Tick w = Tick(1) << kShift;
-        return _windowStart > maxTick - w ? maxTick
-                                          : _windowStart + w - 1;
-    }
-
-    /** Inclusive last tick covered by the calendar window. */
-    Tick
-    windowEnd() const
-    {
-        return _windowStart > maxTick - kSpan
-                   ? maxTick
-                   : _windowStart + kSpan - 1;
-    }
-
-    void insertIntoRun(Tick when, Priority prio, std::uint64_t seq,
-                       EventCallback &&fn);
-    void pushOverflow(Tick when, Priority prio, std::uint64_t seq,
-                      EventCallback &&fn);
-    void dispatch(const RunKey &key);
-    void refillFromOverflow();
+    /** Pop the head, advance time and run it (requires !empty()). */
+    void dispatchHead();
     /** Run every event strictly below (@p when, @p prio). */
     void drain(Tick when, std::int64_t prio);
 
     [[noreturn]] void pastPanic(Tick when) const;
     [[noreturn]] void nullPanic(Tick when) const;
-    /** Make _run hold the next bucket's entries (requires _size > 0). */
-    void advanceToNextBucket();
-    /** Ensure _run.back() is the next event (requires _size > 0). */
-    void prepareNext();
-
-    void setOccupied(std::size_t idx);
-    void clearOccupied(std::size_t idx);
-    /** Circular distance from _curIdx to the next occupied bucket. */
-    std::size_t nextOccupiedDistance() const;
 
     Tick _now = 0;
     std::uint64_t _nextSeq = 0;
     std::uint64_t _executed = 0;
-    std::size_t _size = 0;
 
-    /**
-     * The current drain run: up to kMaxStores bucket vectors swapped
-     * in whole (no per-entry moves). The stores are frozen while the
-     * run executes (so closures can run in place without reallocation
-     * moving the ground under them); re-entrant schedules landing in
-     * the run's tick range append to the _runExtra spill store.
-     */
-    std::vector<Entry> _runStores[kMaxStores];
-    std::size_t _numStores = 0;
-    std::vector<Entry> _runExtra;
-    /** Execution order over all stores, earliest key at the back. */
-    std::vector<RunKey> _runOrder;
+    /** Min-heap (via std::push_heap on laterThan) of pending keys. */
+    std::vector<Key> _heap;
+    /** Callback slab indexed by Key::slot; free slots hold null. */
+    std::vector<EventCallback> _slots;
+    /** Free slab slots, reused last-freed first. */
+    std::vector<std::uint32_t> _free;
 
-    std::vector<std::vector<Entry>> _buckets;
-    std::uint64_t _occupancy[kBuckets / 64] = {};
-    std::size_t _inWindow = 0; ///< Entries in _buckets (not _run).
-
-    std::size_t _curIdx = 0;
-    Tick _windowStart = 0; ///< Tick at which bucket _curIdx starts.
-
-    /** Min-heap (via std::push_heap on laterThan) of far-future events. */
-    std::vector<Entry> _overflow;
-
-    /** True while an event closure is executing (see clear()). */
-    bool _dispatching = false;
     /** True while a drain() dispatches (see tryRunInline()); its
      *  exclusive bound is (_drainWhen, _drainPrio). */
     bool _draining = false;
     Tick _drainWhen = 0;
     std::int64_t _drainPrio = 0;
-    /** Buffers parked by a re-entrant clear() until dispatch ends. */
-    std::vector<std::vector<Entry>> _retired;
 };
 
 /**
@@ -345,7 +240,7 @@ class EventQueue
  * a std::priority_queue). Retained as the reference implementation:
  * bench/microbench_simulator.cc measures it against EventQueue in the
  * same process, and tests/sim_event_queue_test.cc runs both in
- * lockstep to prove the calendar queue preserves execution order.
+ * lockstep to prove EventQueue preserves its execution order.
  */
 class LegacyEventQueue
 {

@@ -2,12 +2,16 @@
  * @file
  * Unit tests for the discrete-event simulation kernel.
  *
- * Besides the interface contract, this file proves the calendar-queue
- * EventQueue equivalent to the original binary-heap implementation
+ * Besides the interface contract, this file proves EventQueue
+ * equivalent to the original std::function binary-heap implementation
  * (kept as LegacyEventQueue): a lockstep fuzz over randomized
- * schedules asserts identical execution order, calendar bucket/window
- * boundaries are probed explicitly, and fixed-seed serving/DRAM runs
+ * schedules asserts identical execution order, tie-breaks are probed
+ * at near, far and re-entrant ticks, and fixed-seed serving/DRAM runs
  * are pinned to the metrics recorded before the queue swap.
+ *
+ * The tick offsets are drawn from a fixed geometry, kWidth and kSpan
+ * (128 and 8192 * 128 ticks): short, medium and far-future gaps that
+ * every ordering case keeps exercising.
  */
 
 #include <gtest/gtest.h>
@@ -31,6 +35,11 @@
 namespace {
 
 using namespace papi::sim;
+
+/** A short tick gap; offsets straddle its multiples. */
+constexpr Tick kWidth = 128;
+/** A far-future tick gap: 8192 short gaps. */
+constexpr Tick kSpan = kWidth * 8192;
 
 TEST(EventQueue, StartsEmptyAtTickZero)
 {
@@ -127,16 +136,6 @@ TEST(EventQueue, StepExecutesExactlyOne)
     EXPECT_EQ(count, 2);
 }
 
-TEST(EventQueue, ClearDropsPendingEvents)
-{
-    EventQueue eq;
-    int count = 0;
-    eq.schedule(10, [&] { ++count; });
-    eq.clear();
-    eq.run();
-    EXPECT_EQ(count, 0);
-}
-
 TEST(EventQueue, ExecutedCounterAdvances)
 {
     EventQueue eq;
@@ -147,15 +146,15 @@ TEST(EventQueue, ExecutedCounterAdvances)
 }
 
 // ---------------------------------------------------------------------
-// Calendar bucket / window boundary cases
+// Ordering across near, far and re-entrant ticks
 // ---------------------------------------------------------------------
 
 TEST(EventQueue, BucketBoundaryTicksStayOrdered)
 {
     EventQueue eq;
-    const Tick w = EventQueue::bucketWidth();
+    const Tick w = kWidth;
     std::vector<Tick> order;
-    // Straddle the first few bucket boundaries, scheduled shuffled.
+    // Straddle the first few multiples of w, scheduled shuffled.
     std::vector<Tick> ticks = {w,     w - 1, 2 * w + 1, 0,
                                w + 1, 2 * w, 2 * w - 1, 1};
     for (Tick t : ticks)
@@ -169,11 +168,10 @@ TEST(EventQueue, BucketBoundaryTicksStayOrdered)
 TEST(EventQueue, SameTickAcrossBucketBoundaryUsesInsertionOrder)
 {
     EventQueue eq;
-    const Tick w = EventQueue::bucketWidth();
+    const Tick w = kWidth;
     std::vector<int> order;
-    // Same tick scheduled before and after the bucket becomes
-    // current: the second is re-entrant (spill store) and must still
-    // run after the first.
+    // Same tick scheduled before and while it is being dispatched:
+    // the re-entrant schedules must still run after the first.
     eq.schedule(w, [&] {
         order.push_back(0);
         eq.schedule(w, [&] { order.push_back(2); });
@@ -188,8 +186,7 @@ TEST(EventQueue, SameTickAcrossBucketBoundaryUsesInsertionOrder)
 TEST(EventQueue, FarFutureEventsGoThroughOverflow)
 {
     EventQueue eq;
-    const Tick span =
-        EventQueue::bucketWidth() * EventQueue::numBuckets();
+    const Tick span = kSpan;
     std::vector<int> order;
     eq.schedule(10 * span, [&] { order.push_back(2); });
     eq.schedule(5, [&] { order.push_back(0); });
@@ -204,17 +201,15 @@ TEST(EventQueue, FarFutureEventsGoThroughOverflow)
 TEST(EventQueue, OverflowRefillPreservesTieBreaks)
 {
     EventQueue eq;
-    const Tick span =
-        EventQueue::bucketWidth() * EventQueue::numBuckets();
+    const Tick span = kSpan;
     const Tick far = 3 * span + 17;
     std::vector<int> order;
-    // Two same-tick events via overflow, then (after the window
-    // jumped) a third directly into the bucket; seq order must hold.
+    // Two same-tick far-future events, then (after time advanced) a
+    // third at the same tick; seq order must hold.
     eq.schedule(far, [&] { order.push_back(0); });
     eq.schedule(far, [&] { order.push_back(1); });
     eq.schedule(1, [&] {
-        // Runs first; once it finishes, the queue jumps its window
-        // to `far`, pulling both overflow events into a bucket.
+        // Runs first, moving now() past every other pending gap.
     });
     eq.step();
     eq.schedule(far, [&] { order.push_back(2); });
@@ -222,28 +217,13 @@ TEST(EventQueue, OverflowRefillPreservesTieBreaks)
     EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
 }
 
-TEST(EventQueue, ReentrantClearFromInsideEvent)
-{
-    EventQueue eq;
-    int ran = 0;
-    eq.schedule(1, [&] {
-        ++ran;
-        eq.clear(); // must not free this closure's storage mid-run
-        eq.schedule(eq.now() + 5, [&] { ++ran; });
-    });
-    eq.schedule(2, [&] { ran += 100; }); // dropped by clear()
-    eq.run();
-    EXPECT_EQ(ran, 2);
-}
-
 TEST(EventQueue, PeekFromTheLastEventOfADrainRunKeepsItAlive)
 {
-    // Ticks 1000..4000 sit in four buckets that form one drain run;
-    // 5000 waits in the next bucket. The closure at 4000 is the last
-    // entry of its run and peeks: locating the head by draining the
-    // next bucket would clear the run stores and destroy the closure
-    // mid-execution (heap-use-after-free on its string capture under
-    // ASan). The peek must read the head without mutating the queue.
+    // Every closure peeks while it executes, with a heap-allocated
+    // string capture: a peek that reorganised queue storage to find
+    // the head would destroy the running closure (heap-use-after-free
+    // under ASan). The peek must read the head without mutating the
+    // queue, and from the last event it must report an empty queue.
     EventQueue eq;
     std::vector<std::string> seen;
     for (Tick t = 1000; t <= 5000; t += 1000) {
@@ -348,7 +328,7 @@ TEST(EventQueueInline, ExactTieWithAPendingEventIsRefused)
 
 TEST(EventQueueInline, EarlierEventInTheRunBufferBlocks)
 {
-    // 10 and 20 share a bucket, so 20 waits in the drain run itself.
+    // 20 is pending and close behind the running event at 10.
     EventQueue eq;
     std::vector<bool> accepted;
     eq.schedule(10, [&] {
@@ -362,10 +342,10 @@ TEST(EventQueueInline, EarlierEventInTheRunBufferBlocks)
 
 TEST(EventQueueInline, EarlierEventInACalendarBucketBlocks)
 {
-    // Scheduled from inside the drain, past the current bucket but
-    // inside the window: both land in one calendar bucket, unsorted.
+    // Scheduled from inside the drain, later first: the head is the
+    // earlier of the two, not the last one scheduled.
     EventQueue eq;
-    const Tick w = EventQueue::bucketWidth();
+    const Tick w = kWidth;
     std::vector<bool> accepted;
     eq.schedule(10, [&] {
         eq.schedule(5 * w + 9, [] {});
@@ -382,8 +362,7 @@ TEST(EventQueueInline, EarlierEventInACalendarBucketBlocks)
 TEST(EventQueueInline, EarlierEventInTheOverflowHeapBlocks)
 {
     EventQueue eq;
-    const Tick span =
-        EventQueue::bucketWidth() * EventQueue::numBuckets();
+    const Tick span = kSpan;
     std::vector<bool> accepted;
     eq.schedule(10, [&] {
         eq.schedule(3 * span, [] {});
@@ -410,8 +389,8 @@ runFollowUpScenario(std::uint64_t seed, bool try_inline,
     EventQueue q;
     std::vector<std::uint64_t> log;
     std::uint64_t next_id = 0;
-    const Tick w = EventQueue::bucketWidth();
-    const Tick span = w * EventQueue::numBuckets();
+    const Tick w = kWidth;
+    const Tick span = kSpan;
 
     std::function<void(std::uint64_t, int)> body =
         [&](std::uint64_t id, int depth) {
@@ -473,7 +452,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, InlineEquivalence,
                                            12345u));
 
 // ---------------------------------------------------------------------
-// Determinism: calendar queue vs the original binary-heap queue
+// Determinism: EventQueue vs the original std::function binary heap
 // ---------------------------------------------------------------------
 
 /** Drive a randomized, partly re-entrant schedule; log execution. */
@@ -486,14 +465,14 @@ runLockstepScenario(std::uint64_t seed)
     std::vector<std::uint64_t> log;
     std::uint64_t next_id = 0;
 
-    const Tick w = EventQueue::bucketWidth();
-    const Tick span = w * EventQueue::numBuckets();
+    const Tick w = kWidth;
+    const Tick span = kSpan;
 
     std::function<void(int)> chain = [&](int depth) {
         log.push_back(q.now());
         if (depth > 0) {
-            // Re-entrant: same tick, same bucket, next bucket, or
-            // far future, with varying priorities.
+            // Re-entrant: same tick, a short gap, a few short gaps,
+            // or far future, with varying priorities.
             Tick offsets[] = {0, 1, w / 2, w, 3 * w, span + 11};
             Tick off = offsets[rng.uniformInt(0, 5)];
             Priority prio =
@@ -532,10 +511,10 @@ class QueueEquivalence : public ::testing::TestWithParam<std::uint64_t>
 
 TEST_P(QueueEquivalence, LockstepExecutionOrderMatchesLegacy)
 {
-    auto calendar = runLockstepScenario<EventQueue>(GetParam());
-    auto heap = runLockstepScenario<LegacyEventQueue>(GetParam());
-    ASSERT_EQ(calendar.size(), heap.size());
-    EXPECT_EQ(calendar, heap);
+    auto production = runLockstepScenario<EventQueue>(GetParam());
+    auto legacy = runLockstepScenario<LegacyEventQueue>(GetParam());
+    ASSERT_EQ(production.size(), legacy.size());
+    EXPECT_EQ(production, legacy);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, QueueEquivalence,
