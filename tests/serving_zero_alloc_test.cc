@@ -13,6 +13,10 @@
  * change every iteration, so a first run over the workload warms
  * them; the counted run replays the identical iteration sequence and
  * must hit those memos without inserting.
+ *
+ * The same probe pins sim::EventQueue's allocation contract: an empty
+ * queue owns no storage, and once a pass has sized its key heap,
+ * callback slab and free list, an identical pass allocates nothing.
  */
 
 #include <gtest/gtest.h>
@@ -24,6 +28,7 @@
 
 #include "core/serving_engine.hh"
 #include "llm/model_config.hh"
+#include "sim/event_queue.hh"
 
 namespace {
 
@@ -191,6 +196,89 @@ TEST(ServingZeroAlloc, ChunkedSteadyStateDecodeDoesNotAllocate)
         sim.step();
     ServingResult r = sim.finish();
     EXPECT_EQ(r.tokensGenerated, 16ull * 512ull);
+}
+
+// ----------------------------------------------- sim::EventQueue
+
+TEST(ServingZeroAlloc, EventQueueConstructionDoesNotAllocate)
+{
+    g_allocCount = 0;
+    g_counting = true;
+    papi::sim::EventQueue eq;
+    g_counting = false;
+    EXPECT_EQ(g_allocCount, 0u) << "an empty EventQueue allocated";
+
+    // Use the queue, so its construction cannot be optimized away.
+    bool ran = false;
+    eq.schedule(1000, [&ran] { ran = true; });
+    eq.run();
+    EXPECT_TRUE(ran);
+}
+
+/**
+ * One link of an event chain, exactly EventCallback::inlineCapacity
+ * bytes. Each link runs its successor inline on every other step
+ * when EventQueue::tryRunInline accepts, and schedules it otherwise.
+ */
+struct ChainLink
+{
+    papi::sim::EventQueue *q;
+    std::uint64_t *sum;
+    std::uint64_t *inlined;
+    std::uint64_t remaining;
+    std::uint64_t pad[2];
+
+    void
+    operator()() const
+    {
+        ChainLink link = *this;
+        for (;;) {
+            *link.sum += link.q->now() + link.pad[0];
+            if (link.remaining == 0)
+                return;
+            --link.remaining;
+            if (link.remaining % 2 == 1 &&
+                link.q->tryRunInline(link.q->now() + 1, 0)) {
+                ++*link.inlined;
+                continue;
+            }
+            link.q->schedule(link.q->now() + 10, link);
+            return;
+        }
+    }
+};
+static_assert(sizeof(ChainLink) ==
+              papi::sim::EventCallback::inlineCapacity);
+
+TEST(ServingZeroAlloc, EventQueueSteadyStateDoesNotAllocate)
+{
+    papi::sim::EventQueue eq;
+    std::uint64_t sum = 0;
+    std::uint64_t inlined = 0;
+    // Three interleaved chains: a link's inline successor at now+1
+    // is accepted only because the other chains' events lie later.
+    const auto pass = [&] {
+        for (std::uint64_t c = 0; c < 3; ++c)
+            eq.schedule(eq.now() + 3 * c,
+                        ChainLink{&eq, &sum, &inlined, 400, {c, 0}});
+        eq.run();
+    };
+
+    pass(); // warm-up: sizes the key heap, slab and free list
+    const std::uint64_t warm_inlined = inlined;
+    const std::uint64_t warm_executed = eq.executed();
+
+    g_allocCount = 0;
+    g_counting = true;
+    pass();
+    g_counting = false;
+
+    EXPECT_EQ(g_allocCount, 0u)
+        << "a steady-state EventQueue pass touched the heap";
+    EXPECT_GT(warm_inlined, 0u);
+    EXPECT_EQ(inlined, 2 * warm_inlined);
+    EXPECT_EQ(eq.executed(), 2 * warm_executed);
+    EXPECT_TRUE(eq.empty());
 }
 
 } // namespace
