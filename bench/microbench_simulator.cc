@@ -7,8 +7,9 @@
  * - and emits one machine-readable JSON document (schema below) so CI
  * can archive per-commit trajectories (BENCH_*.json).
  *
- * The event-queue section measures the production calendar queue
- * (sim::EventQueue) and the original binary-heap implementation
+ * The event-queue section measures the production queue
+ * (sim::EventQueue: one binary heap of small keys over a callback
+ * slab) and the original std::function binary-heap implementation
  * (sim::LegacyEventQueue) in the same process and reports the
  * speedup, so a regression in the allocation-free path is visible
  * without checking out an old revision.
@@ -522,7 +523,7 @@ struct DramResult
 
 /**
  * End-to-end DRAM comparison: the same request stream through the
- * production path (calendar EventQueue + batched MemController) and
+ * production path (sim::EventQueue + batched MemController) and
  * through the reconstructed pre-change path (binary-heap queue +
  * polling controller, bench::LegacyMemController). Same simulated
  * work, so requests/sec compares the simulator implementations
