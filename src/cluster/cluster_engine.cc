@@ -130,7 +130,8 @@ ClusterEngine::run(const std::vector<llm::TimedRequest> &stream,
                    const llm::SpeculativeConfig &spec,
                    const llm::ModelConfig &model)
 {
-    // The driver rejects an unsorted stream, but accepts an empty one.
+    // ServingEventDriver::runStream rejects an unsorted stream but
+    // accepts an empty one.
     if (stream.empty())
         sim::fatal("ClusterEngine: empty request stream");
     double first_arrival = stream.front().arrivalSeconds;
