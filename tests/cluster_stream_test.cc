@@ -12,7 +12,8 @@
  *    percentiles take over (statsTruncated) while request/token
  *    conservation still holds exactly.
  *  - Cache-hit-aware routing concentrates session turns where their
- *    prefix lives: more hit tokens than round-robin spraying.
+ *    prefix lives: more hit tokens than round-robin spraying, and a
+ *    shorter p99 TTFT on a slow multi-turn trace.
  *  - assignSessions' turns_per_session mode deals sessions
  *    round-robin with no randomness; the default mode stays pinned.
  */
@@ -230,6 +231,44 @@ TEST(ClusterStream, CacheHitAwareRoutingBeatsRoundRobinOnHits)
         run_policy(RouterPolicy::CacheHitAware);
     expectClusterEqual(cha, again);
     EXPECT_EQ(cha.prefixHits, again.prefixHits);
+}
+
+TEST(ClusterStream, CacheHitAwareRoutingBeatsRoundRobinOnTtftTail)
+{
+    // The arrival rate is deliberately slow: a session's next turn
+    // can only hit if its previous turn already retired and
+    // published its context, so the inter-turn gap must exceed
+    // request latency. Round-robin then scatters a session's turns
+    // away from its cached prefix while cache-hit-aware routing
+    // follows the cached bytes - the TTFT gap isolates routing
+    // quality, not load imbalance.
+    core::PlatformConfig cfg = core::makePapiConfig();
+    llm::ModelConfig model = llm::llama65b();
+    llm::SpeculativeConfig spec;
+    llm::ArrivalProcess arrivals(llm::TraceCategory::AgenticLoop, 2.0,
+                                 97);
+    const auto reqs = arrivals.generate(168);
+
+    auto run_policy = [&](RouterPolicy policy) {
+        ClusterOptions opt;
+        opt.numPlatforms = 4;
+        opt.policy = policy;
+        opt.serving.maxRlp = 16;
+        opt.serving.prefillChunkTokens = 64;
+        opt.serving.prefixCacheEnabled = true;
+        return ClusterEngine(cfg, opt).run(reqs, spec, model);
+    };
+
+    const ClusterResult rr = run_policy(RouterPolicy::RoundRobin);
+    const ClusterResult sa = run_policy(RouterPolicy::SessionAffinity);
+    const ClusterResult cha = run_policy(RouterPolicy::CacheHitAware);
+
+    EXPECT_LT(cha.ttft.p99, rr.ttft.p99);
+    // Both cache-following policies hit; hits are real lookups.
+    EXPECT_GT(sa.prefixHits, 0u);
+    EXPECT_GT(cha.prefixHits, 0u);
+    for (const ClusterResult *r : {&rr, &sa, &cha})
+        EXPECT_LE(r->prefixHits, r->prefixLookups);
 }
 
 TEST(AssignSessions, TurnsModeDealsRoundRobinDeterministically)

@@ -26,6 +26,7 @@
 #include "core/platform.hh"
 #include "core/serving_engine.hh"
 #include "core/serving_events.hh"
+#include "core/threshold_calibrator.hh"
 #include "llm/arrival.hh"
 #include "llm/kv_cache.hh"
 #include "llm/model_config.hh"
@@ -274,6 +275,29 @@ makeSample(std::uint32_t i, const llm::ModelConfig &model,
     return s;
 }
 
+/**
+ * The grid stops at 8 replicas. This 64-replica round-robin fleet is
+ * the shape the soak tier times the parallel speedup on, so its
+ * identity rides along as one more grid input.
+ */
+GridSample
+fleet64Sample(const llm::ModelConfig &model,
+              const core::PlatformConfig &cfg)
+{
+    GridSample s;
+    s.name = "fleet64/replicas64/round-robin";
+    s.options.numPlatforms = 64;
+    s.options.policy = RouterPolicy::RoundRobin;
+    s.options.serving.maxRlp = 16;
+    core::Platform reference(cfg);
+    s.options.serving.alpha =
+        core::ThresholdCalibrator::calibrate(reference, model).alpha;
+    llm::ArrivalProcess arrivals(llm::TraceCategory::GeneralQa, 600.0,
+                                 13);
+    s.stream = arrivals.generate(384);
+    return s;
+}
+
 ClusterResult
 runSample(const GridSample &s, unsigned workers,
           const llm::ModelConfig &model,
@@ -286,8 +310,9 @@ runSample(const GridSample &s, unsigned workers,
 }
 
 // ------------------------------------------------------------------
-// The differential fuzz grid: >= 50 seeded configurations, each run
-// serially (the pinned oracle) and at 2, 4, and 8 worker threads.
+// The differential fuzz grid: >= 50 seeded configurations plus the
+// 64-replica fleet, each run serially (the pinned oracle) and at 2,
+// 4, and 8 worker threads.
 
 TEST(ParallelIdentity, DifferentialGridMatchesSerialByteForByte)
 {
@@ -296,8 +321,9 @@ TEST(ParallelIdentity, DifferentialGridMatchesSerialByteForByte)
     constexpr std::uint32_t kSamples = 54;
     constexpr unsigned kWorkerCounts[3] = {2, 4, 8};
 
-    for (std::uint32_t i = 0; i < kSamples; ++i) {
-        const GridSample s = makeSample(i, model, cfg);
+    for (std::uint32_t i = 0; i <= kSamples; ++i) {
+        const GridSample s = i < kSamples ? makeSample(i, model, cfg)
+                                          : fleet64Sample(model, cfg);
         SCOPED_TRACE(s.name);
         const ClusterResult serial = runSample(s, 1, model, cfg);
         const std::uint64_t serial_hash = timelineHash(serial.records);
