@@ -1,7 +1,8 @@
 /**
  * @file
- * Tests for mixed-continuous-batching serving, MoE workload
- * modelling, and config-driven platform construction.
+ * Tests for mixed-continuous-batching serving (including a golden of
+ * the dynamic FC dispatch split on a speculative stream), MoE
+ * workload modelling, and config-driven platform construction.
  */
 
 #include <gtest/gtest.h>
@@ -116,6 +117,47 @@ TEST_F(ServingTest, PapiBeatsStaticBaselineUnderMixedLoad)
     EXPECT_LT(r_papi.makespanSeconds, r_base.makespanSeconds);
     EXPECT_LT(r_papi.meanLatencySeconds,
               r_base.meanLatencySeconds * 1.02);
+}
+
+TEST_F(ServingTest, DynamicFcDispatchGoldenOnSpeculativeStream)
+{
+    // The paper's Section-5 switch on the serving path: with
+    // speculation length 2 the batch's RLP x TLP crosses the
+    // calibrated alpha in both directions, so Dynamic splits FC
+    // between the GPU and FC-PIM and reschedules. The split is a
+    // golden of the simulated timing; the makespan ordering is the
+    // policy's reason to exist.
+    const double alpha = [&] {
+        Platform reference(makePapiConfig());
+        return ThresholdCalibrator::calibrate(reference, model).alpha;
+    }();
+    llm::ArrivalProcess arrivals(llm::TraceCategory::GeneralQa, 80.0,
+                                 11);
+    const auto reqs = arrivals.generate(64);
+    llm::SpeculativeConfig spec;
+    spec.length = 2;
+    ServingOptions opt;
+    opt.maxRlp = 32;
+    opt.alpha = alpha;
+    opt.seed = 3;
+
+    auto run_policy = [&](FcPolicy policy) {
+        PlatformConfig cfg = makePapiConfig();
+        cfg.fcPolicy = policy;
+        Platform platform(cfg);
+        return ServingEngine(platform).run(reqs, spec, model, opt);
+    };
+    const ServingResult dynamic = run_policy(FcPolicy::Dynamic);
+    const ServingResult gpu = run_policy(FcPolicy::AlwaysGpu);
+    const ServingResult pim = run_policy(FcPolicy::AlwaysPim);
+    const ServingResult oracle = run_policy(FcPolicy::Oracle);
+
+    EXPECT_EQ(dynamic.fcOnGpuIterations, 100u);
+    EXPECT_EQ(dynamic.fcOnPimIterations, 84u);
+    EXPECT_EQ(dynamic.reschedules, 2u);
+    EXPECT_LT(dynamic.makespanSeconds, gpu.makespanSeconds);
+    EXPECT_LT(dynamic.makespanSeconds, pim.makespanSeconds);
+    EXPECT_LE(oracle.makespanSeconds, dynamic.makespanSeconds);
 }
 
 TEST_F(ServingTest, InvalidInputsAreFatal)
