@@ -176,16 +176,6 @@ struct ServingOptions
      */
     double deadlineSeconds = 0.0;
     /**
-     * Slot count of the direct-mapped decode-plan memo (power of
-     * two). A steady-state decode episode visits one key per
-     * iteration (ctx_sum strictly grows), so a recurring batch
-     * shape only hits when the whole episode's key set survives
-     * between repeats; size past the longest expected decode run.
-     * The default covers multi-thousand-iteration episodes at
-     * ~1 MB per simulator; long-episode benches raise it.
-     */
-    std::uint32_t planMemoSlots = 8192;
-    /**
      * Shared prefix caching (llm::KvCacheManager's prefix layer):
      * when true, a fresh request whose prefixKey matches a cached
      * entry skips the prefill cost of the cached whole-block span
@@ -1074,8 +1064,6 @@ class ServingSim
         IterationTiming timing;
     };
     mutable std::vector<PlanMemoEntry> _planMemo;
-    /** ServingOptions::planMemoSlots - 1 (power-of-two mask). */
-    std::size_t _planMemoMask = 0;
     /** Slot index for a (rlp, tokens, ctx_sum) key. */
     std::size_t planMemoSlot(std::uint64_t key1,
                              std::uint64_t key2) const;
