@@ -3,15 +3,12 @@
  * Frozen pre-SoA reference copy of the serving-simulation core.
  *
  * This is a verbatim snapshot of ServingSim as it stood BEFORE the
- * structure-of-arrays refactor (PR 8), kept compilable so that
- *
- *  - tests/serving_soa_diff_test.cc can drive the scalar
- *    array-of-structures plan loop in lockstep against the SoA core
- *    and assert bit-identical iteration plans and results (the same
- *    technique as PR 1's sim::LegacyEventQueue), and
- *  - the papi-soa/1 bench section can measure the SoA speedup
- *    against the genuine old loop inside one binary (the PR 1
- *    bench/legacy_dram.hh pattern).
+ * structure-of-arrays refactor, kept compilable as a reference for
+ * tests only: tests/serving_soa_diff_test.cc drives the scalar
+ * array-of-structures plan loop in lockstep against the SoA core and
+ * asserts bit-identical iteration plans and results (the technique
+ * sim::LegacyEventQueue serves for the event queue), and one timed
+ * case there requires the SoA core to outrun this loop.
  *
  * DO NOT "improve" this file: its value is that it does not change.
  * It shares the public option/result/record structs with

@@ -11,9 +11,8 @@
  * binary heap of small keys over a slab of small-buffer-optimized
  * callbacks (sim::EventCallback). It keeps the exact (tick, priority,
  * seq) total order of the original std::function binary-heap design,
- * which is kept verbatim as LegacyEventQueue so benchmarks can
- * compare both in one run and tests can assert execution-order
- * equivalence.
+ * which is kept verbatim as LegacyEventQueue, a reference for tests
+ * only: they assert execution-order equivalence against it.
  */
 
 #ifndef PAPI_SIM_EVENT_QUEUE_HH
@@ -237,10 +236,9 @@ class EventQueue
 
 /**
  * The original binary-heap implementation (std::function closures in
- * a std::priority_queue). Retained as the reference implementation:
- * bench/microbench_simulator.cc measures it against EventQueue in the
- * same process, and tests/sim_event_queue_test.cc runs both in
- * lockstep to prove EventQueue preserves its execution order.
+ * a std::priority_queue). Retained as a reference for tests only:
+ * tests/sim_event_queue_test.cc runs both in lockstep to prove
+ * EventQueue preserves its execution order.
  */
 class LegacyEventQueue
 {
