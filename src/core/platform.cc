@@ -27,12 +27,9 @@ constexpr std::uint32_t kindFcBase = 0x100;
 constexpr std::uint32_t kindAttnBase = 0x200;
 constexpr std::uint32_t kindPrefillBase = 0x300;
 
-/** Entry count at which the kernel cache is discarded wholesale. */
-constexpr std::size_t kernelCacheMaxEntries = 1u << 20;
-
 } // namespace
 
-std::size_t
+std::uint64_t
 Platform::KernelKeyHash::operator()(const KernelKey &k) const
 {
     std::uint64_t h = 0xcbf29ce484222325ULL;
@@ -41,35 +38,45 @@ Platform::KernelKeyHash::operator()(const KernelKey &k) const
     h = hashCombine(h, k.shape1);
     h = hashCombine(h, k.shape2);
     h = hashCombine(h, k.kind);
-    return static_cast<std::size_t>(h);
+    return h;
+}
+
+Platform::ModelShape
+Platform::modelShape(const llm::ModelConfig &model)
+{
+    return {model.hiddenDim,     model.numLayers,  model.numHeads,
+            model.ffnDim,        model.ffnMatrices, model.maxSeqLen,
+            model.bytesPerParam, model.moeExperts, model.moeTopK};
 }
 
 std::uint64_t
-Platform::modelShapeHash(const llm::ModelConfig &model)
+Platform::shapeHash(const ModelShape &shape)
 {
     std::uint64_t h = 0xcbf29ce484222325ULL;
-    h = hashCombine(h, model.hiddenDim);
-    h = hashCombine(h, model.numLayers);
-    h = hashCombine(h, model.numHeads);
-    h = hashCombine(h, model.ffnDim);
-    h = hashCombine(h, model.ffnMatrices);
-    h = hashCombine(h, model.maxSeqLen);
-    h = hashCombine(h, model.bytesPerParam);
-    h = hashCombine(h, model.moeExperts);
-    h = hashCombine(h, model.moeTopK);
+    for (std::uint32_t field : shape)
+        h = hashCombine(h, field);
     return h;
+}
+
+std::uint64_t
+Platform::modelHash(const llm::ModelConfig &model) const
+{
+    const ModelShape shape = modelShape(model);
+    if (shape != _lastShape) {
+        _lastShape = shape;
+        _lastShapeHash = shapeHash(shape);
+    }
+    return _lastShapeHash;
 }
 
 template <typename ComputeFn>
 KernelExec
 Platform::cached(const KernelKey &key, ComputeFn &&compute) const
 {
-    if (auto it = _kernelCache.find(key); it != _kernelCache.end())
-        return it->second;
+    if (const KernelExec *hit = _kernelCache.find(key))
+        return *hit;
     KernelExec out = compute();
-    if (_kernelCache.size() >= kernelCacheMaxEntries)
-        _kernelCache.clear();
-    _kernelCache.emplace(key, out);
+    _kernelCache.insert(key, out);
     return out;
 }
 
@@ -390,7 +397,7 @@ Platform::fcExec(const llm::ModelConfig &model, std::uint32_t tokens,
                    target.name, "' cannot run the fc phase");
 
     KernelKey key;
-    key.model = modelShapeHash(model);
+    key.model = modelHash(model);
     key.shape0 = tokens;
     key.kind = kindFcBase + id;
     return cached(key, [&] { return target.fcCost(model, tokens); });
@@ -444,7 +451,7 @@ Platform::attnExec(const llm::ModelConfig &model,
     // The result depends on ctx_lens only through the total context
     // length and the request count, so the cache key is exact.
     KernelKey key;
-    key.model = modelShapeHash(model);
+    key.model = modelHash(model);
     key.shape0 = total_len;
     key.shape1 = (static_cast<std::uint64_t>(ctx_lens.size()) << 32) |
                  tlp;
@@ -526,7 +533,7 @@ Platform::prefillExec(const llm::ModelConfig &model,
         sum_sq += static_cast<std::uint64_t>(len) * len;
     }
     KernelKey key;
-    key.model = modelShapeHash(model);
+    key.model = modelHash(model);
     key.shape0 = sum;
     key.shape1 = input_lens.size();
     key.shape2 = sum_sq;

@@ -29,11 +29,11 @@
 #ifndef PAPI_CORE_PLATFORM_HH
 #define PAPI_CORE_PLATFORM_HH
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "core/dispatch_policy.hh"
@@ -43,6 +43,7 @@
 #include "llm/kernel_spec.hh"
 #include "llm/model_config.hh"
 #include "pim/pim_device.hh"
+#include "sim/flat_memo.hh"
 
 /**
  * @namespace papi
@@ -275,12 +276,15 @@ class Platform
     /**
      * Memoization of kernel-phase results. Every query above is a
      * pure function of the model's numeric shape and a handful of
-     * workload scalars, yet decode loops, oracle policies, and
-     * threshold calibration re-ask the same shapes millions of times
-     * per figure run. Keys fold the model's identity fields with the
-     * workload shape; the cache is cleared wholesale if it ever grows
-     * pathologically large (long serving sweeps with ever-changing
-     * context sums).
+     * workload scalars, and PAPI's online kernel characterization
+     * re-prices the FC and attention phases at every decode
+     * iteration of every replica - so the serving loop makes two
+     * lookups per iteration here, and oracle policies and threshold
+     * calibration re-ask the same shapes millions of times per
+     * figure run. Keys fold the model's shape hash with the workload
+     * shape into one sim::FlatMemo (dense entries, open-addressed
+     * index); it is discarded wholesale at sim::flatMemoMaxEntries
+     * (long serving sweeps with ever-changing context sums).
      */
     struct KernelKey
     {
@@ -295,10 +299,20 @@ class Platform
 
     struct KernelKeyHash
     {
-        std::size_t operator()(const KernelKey &k) const;
+        std::uint64_t operator()(const KernelKey &k) const;
     };
 
-    static std::uint64_t modelShapeHash(const llm::ModelConfig &model);
+    /** The nine ModelConfig fields the kernel costs depend on. */
+    using ModelShape = std::array<std::uint32_t, 9>;
+    static ModelShape modelShape(const llm::ModelConfig &model);
+    static std::uint64_t shapeHash(const ModelShape &shape);
+
+    /**
+     * Hash of @p model's shape fields. Serving asks about one model
+     * for a whole run, so the last shape and its hash are kept and
+     * the fields are compared before rehashing.
+     */
+    std::uint64_t modelHash(const llm::ModelConfig &model) const;
 
     /** Look up @p key or compute-and-insert via @p compute. */
     template <typename ComputeFn>
@@ -320,12 +334,11 @@ class Platform
     std::optional<PhaseDispatcher> _attnDispatcher;
     std::optional<PhaseDispatcher> _prefillDispatcher;
 
-    // detlint: allow(unordered-decl): memo cache with find/emplace/
-    // clear only (Platform::cached); a hit returns the exact value a
-    // recompute would produce, and no code walks the table, so
-    // bucket order cannot reach results or stats.
-    mutable std::unordered_map<KernelKey, KernelExec, KernelKeyHash>
+    mutable sim::FlatMemo<KernelKey, KernelExec, KernelKeyHash>
         _kernelCache;
+    /** modelHash()'s last shape and that shape's hash. */
+    mutable ModelShape _lastShape{};
+    mutable std::uint64_t _lastShapeHash = shapeHash({});
 };
 
 /** Factory: the PAPI system (dynamic scheduling, hybrid PIM). */

@@ -108,8 +108,8 @@ GemvEngine::runExact(std::uint64_t bytes_per_bank,
             (1ULL << 32) +
         std::min<Tick>(compute_key, (1ULL << 32) - 1);
     if (_recorder == nullptr) {
-        if (auto it = _cache.find(key); it != _cache.end()) {
-            GemvResult out = it->second;
+        if (const GemvResult *hit = _cache.find(key)) {
+            GemvResult out = *hit;
             out.flops = static_cast<double>(out.streamedBytes) / 2.0 *
                         static_cast<double>(reuse) * 2.0;
             return out;
@@ -268,7 +268,7 @@ GemvEngine::runExact(std::uint64_t bytes_per_bank,
         column_accesses > 0 &&
         compute_stalled_cols * 2 > column_accesses;
     if (_recorder == nullptr)
-        _cache.emplace(key, out);
+        _cache.insert(key, out);
     return out;
 }
 

@@ -19,10 +19,10 @@
 #define PAPI_PIM_GEMV_ENGINE_HH
 
 #include <cstdint>
-#include <unordered_map>
 
 #include "pim/pim_config.hh"
 #include "pim/trace_validator.hh"
+#include "sim/flat_memo.hh"
 #include "sim/types.hh"
 
 namespace papi::pim {
@@ -96,16 +96,22 @@ class GemvEngine
 
     PimConfig _config;
 
+    /** Identity hash of a GEMV memo key (FlatMemo mixes it). */
+    struct KeyHash
+    {
+        std::uint64_t
+        operator()(std::uint64_t key) const
+        {
+            return key;
+        }
+    };
+
     /**
      * Memoized exact results keyed by (columns, reuse). Decode loops
      * call run() with recurring shapes; replaying identical command
      * streams would dominate simulation time otherwise.
      */
-    // detlint: allow(unordered-decl): memo cache with find/emplace
-    // only; a hit replays the exact GemvResult the command stream
-    // would regenerate, and nothing walks the table, so bucket order
-    // cannot reach simulated timing or the command trace.
-    mutable std::unordered_map<std::uint64_t, GemvResult> _cache;
+    mutable sim::FlatMemo<std::uint64_t, GemvResult, KeyHash> _cache;
     CommandTrace *_recorder = nullptr;
 };
 
