@@ -162,18 +162,6 @@ BatchState::clear()
     truncate(0);
 }
 
-std::uint64_t
-BatchState::ctxSum() const
-{
-    const std::size_t n = size();
-    const std::uint32_t *in = inputLen.data();
-    const std::uint32_t *gen = generated.data();
-    std::uint64_t sum = 0;
-    for (std::size_t i = 0; i < n; ++i)
-        sum += in[i] + gen[i];
-    return sum;
-}
-
 bool
 BatchState::anyPrefilling() const
 {
@@ -186,7 +174,8 @@ BatchState::anyPrefilling() const
 }
 
 void
-BatchState::refillCtx(std::vector<std::uint32_t> &ctx) const
+BatchState::refillCtx(std::vector<std::uint32_t> &ctx,
+                      std::uint32_t shift) const
 {
     const std::size_t n = size();
     ctx.resize(n);
@@ -194,7 +183,7 @@ BatchState::refillCtx(std::vector<std::uint32_t> &ctx) const
     const std::uint32_t *gen = generated.data();
     std::uint32_t *out = ctx.data();
     for (std::size_t i = 0; i < n; ++i)
-        out[i] = in[i] + gen[i];
+        out[i] = in[i] + gen[i] + shift;
 }
 
 void

@@ -148,14 +148,16 @@ class BatchState
 
     // ---- hot array passes (branch-light, autovectorizable) ----
 
-    /** Sum of context lengths over the whole batch. */
-    std::uint64_t ctxSum() const;
-
     /** True if any request is still prefilling (chunked mode). */
     bool anyPrefilling() const;
 
-    /** Refill @p ctx with per-request context lengths, in order. */
-    void refillCtx(std::vector<std::uint32_t> &ctx) const;
+    /**
+     * Refill @p ctx with per-request context lengths, in order, each
+     * raised by @p shift (a uniform advance not yet folded into
+     * generated[]).
+     */
+    void refillCtx(std::vector<std::uint32_t> &ctx,
+                   std::uint32_t shift) const;
 
     /** stallSeconds[i] += s for every request (lump-sum swap stall
      *  attribution). */

@@ -12,26 +12,6 @@ namespace {
 /** Host power charged against non-GEMV iteration time, watts. */
 constexpr double kHostWatts = 50.0;
 
-/**
- * Slot count of the direct-mapped decode-plan memo (a power of two,
- * so a mask picks the slot). A steady-state decode episode visits
- * one key per iteration (ctx_sum strictly grows), so a recurring
- * batch shape only hits when the whole episode's key set survives
- * between repeats: 8192 covers multi-thousand-iteration episodes at
- * ~1 MB per simulator.
- */
-constexpr std::size_t kPlanMemoSlots = 8192;
-
-/** 64-bit finalizer (splitmix64) for the plan-memo slot hash. */
-inline std::uint64_t
-mix64(std::uint64_t x)
-{
-    x += 0x9E3779B97F4A7C15ULL;
-    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-    x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-    return x ^ (x >> 31);
-}
-
 } // namespace
 
 // --------------------------------------------------------------- ServingSim
@@ -119,15 +99,6 @@ ServingSim::ServingSim(const Platform &platform,
     _growTok.reserve(options.maxRlp);
     _growBlocks.reserve(options.maxRlp);
     _batch.reserve(options.maxRlp);
-    _planMemo.resize(kPlanMemoSlots);
-}
-
-std::size_t
-ServingSim::planMemoSlot(std::uint64_t key1, std::uint64_t key2) const
-{
-    return static_cast<std::size_t>(
-               mix64(key1 ^ mix64(key2))) &
-           (kPlanMemoSlots - 1);
 }
 
 void
@@ -775,16 +746,14 @@ ServingSim::planIteration() const
     const std::size_t n = _batch.size();
     const std::uint32_t tlp = _spec.length;
     std::uint32_t chunk_tokens = 0;
-    std::uint64_t ctx_sum = 0;
     // Monolithic prefill admits requests fully prefilled, so its
     // batch is always all-decoding and never pays the scan.
-    const bool all_decoding = !_chunked || !_batch.anyPrefilling();
-    if (all_decoding) {
+    if (!_chunked || !_batch.anyPrefilling()) {
         // Steady-state fast path: everyone decodes, so the plan
-        // inputs reduce to one vectorized context sum (_ctx itself
-        // is only needed on a memo miss).
+        // inputs are one sweep over the context columns, adding the
+        // pending uniform advance instead of folding it in.
         p.decodeRlp = static_cast<std::uint32_t>(n);
-        ctx_sum = steadyCtxSum();
+        _batch.refillCtx(_ctx, _genShift);
     } else {
         planChunks(_chunkPlan);
         syncGen();
@@ -794,7 +763,6 @@ ServingSim::planIteration() const
             const std::uint32_t ctx = _batch.contextLen(i);
             if (pre[i] == 0) {
                 _ctx.push_back(ctx);
-                ctx_sum += ctx;
                 ++p.decodeRlp;
             } else if (_chunkPlan[i] > 0) {
                 // Prefill total for costing is the full context
@@ -811,46 +779,27 @@ ServingSim::planIteration() const
     double kernel = 0.0;
     if (p.decodeRlp > 0) {
         p.dispatched = true;
-        const std::uint64_t key1 =
-            (static_cast<std::uint64_t>(p.decodeRlp) << 32) |
-            p.tokens;
-        PlanMemoEntry &e = _planMemo[planMemoSlot(key1, ctx_sum)];
-        if (e.key1 == key1 && e.key2 == ctx_sum) {
-            p.decision = e.decision;
-            p.timing = e.timing;
-        } else {
-            p.decision = _fcDispatch.select(_model, p.decodeRlp,
-                                            tlp, p.tokens);
-            if (all_decoding) {
-                syncGen();
-                _batch.refillCtx(_ctx);
-            }
-            IterationTiming &t = p.timing;
-            t.fc = _platform.fcExec(_model, p.tokens,
-                                    p.decision.target);
-            t.at = _platform.attnExec(_model, _ctx, tlp);
-            t.other = _platform.otherSeconds(_model);
-            if (_static.enabled) {
-                // The draft model's serial proposal pass
-                // (speculative decoding): charged as a fraction of
-                // the verification cost.
-                if (_spec.length > 1 && _spec.draftCostFraction > 0.0)
-                    t.other += _spec.draftCostFraction *
-                               (t.fc.seconds + t.at.seconds);
-                // Kernels within a layer are dependent, so by
-                // default the phases serialize (FC -> attention ->
-                // FC ...). Platforms with sub-batch interleaving
-                // can hide a fraction of the shorter phase under
-                // the longer one.
-                t.hidden = _platform.config().phaseOverlapFraction *
-                           std::min(t.fc.seconds, t.at.seconds);
-            }
-            e.key1 = key1;
-            e.key2 = ctx_sum;
-            e.decision = p.decision;
-            e.timing = p.timing;
+        p.decision =
+            _fcDispatch.select(_model, p.decodeRlp, tlp, p.tokens);
+        IterationTiming &t = p.timing;
+        t.fc = _platform.fcExec(_model, p.tokens, p.decision.target);
+        t.at = _platform.attnExec(_model, _ctx, tlp);
+        t.other = _platform.otherSeconds(_model);
+        if (_static.enabled) {
+            // The draft model's serial proposal pass (speculative
+            // decoding): charged as a fraction of the verification
+            // cost.
+            if (_spec.length > 1 && _spec.draftCostFraction > 0.0)
+                t.other += _spec.draftCostFraction *
+                           (t.fc.seconds + t.at.seconds);
+            // Kernels within a layer are dependent, so by default
+            // the phases serialize (FC -> attention -> FC ...).
+            // Platforms with sub-batch interleaving can hide a
+            // fraction of the shorter phase under the longer one.
+            t.hidden = _platform.config().phaseOverlapFraction *
+                       std::min(t.fc.seconds, t.at.seconds);
         }
-        kernel = p.timing.fc.seconds + p.timing.at.seconds;
+        kernel = t.fc.seconds + t.at.seconds;
     }
     if (!_chunkNow.empty())
         p.chunk = _platform.prefillChunkExec(_model, _chunkPrior,
@@ -983,40 +932,22 @@ ServingSim::syncGen() const
     for (std::size_t i = 0; i < n; ++i)
         gen[i] += s;
     _genShift = 0;
-    // _ctxSumBase is defined over the stored values; folding moved
-    // every stored value up by s, so rebase it (_minRem tracks true
-    // remaining output and is unaffected).
-    if (_steadyValid)
-        _ctxSumBase += static_cast<std::uint64_t>(s) * n;
 }
 
 void
-ServingSim::refreshSteady() const
+ServingSim::refreshSteady()
 {
     syncGen();
     const std::size_t n = _batch.size();
-    const std::uint32_t *in = _batch.inputLen.data();
     const std::uint32_t *gen = _batch.generated.data();
     const std::uint32_t *out = _batch.outputLen.data();
-    std::uint64_t ctx = 0;
     std::uint32_t rem = ~0u;
     for (std::size_t i = 0; i < n; ++i) {
-        ctx += in[i] + gen[i];
         const std::uint32_t r = out[i] - gen[i];
         rem = r < rem ? r : rem;
     }
-    _ctxSumBase = ctx;
     _minRem = rem;
     _steadyValid = true;
-}
-
-std::uint64_t
-ServingSim::steadyCtxSum() const
-{
-    if (!_steadyValid)
-        refreshSteady();
-    return _ctxSumBase +
-           static_cast<std::uint64_t>(_genShift) * _batch.size();
 }
 
 std::uint32_t

@@ -1010,63 +1010,28 @@ class ServingSim
 
     /**
      * Steady-state decode advances every live request by the same
-     * accepted-token count, so the whole O(n) generation sweep
-     * reduces to algebra: _genShift is a uniform advance not yet
-     * folded into _batch.generated (true generated[i] = stored +
-     * _genShift), _ctxSumBase is the context-length sum over the
-     * stored values, and _minRem is the smallest true remaining
-     * output. While _allSeen holds and accepted < _minRem, one
-     * iteration is _genShift += accepted (nobody retires, the
-     * context sum moves by n * accepted) - O(1) instead of O(n).
-     * Any path that reads or mutates the generated column calls
-     * syncGen() first to fold the shift in; any batch mutation
-     * clears _steadyValid so the aggregates are rebuilt on the next
-     * decode iteration (refreshSteady).
+     * accepted-token count, so the advance/retire sweep reduces to
+     * algebra: _genShift is a uniform advance not yet folded into
+     * _batch.generated (true generated[i] = stored + _genShift),
+     * and _minRem is the smallest true remaining output. While
+     * _allSeen holds and accepted < _minRem, one advance is
+     * _genShift += accepted (nobody retires) - O(1) instead of
+     * O(n). Any path that reads or mutates the generated column
+     * calls syncGen() first to fold the shift in; any batch
+     * mutation clears _steadyValid so _minRem is rebuilt on the
+     * next advance (refreshSteady).
      */
     mutable std::uint32_t _genShift = 0;
-    /** Context-length sum over stored columns (valid iff
-     *  _steadyValid); true sum = _ctxSumBase + n * _genShift. */
-    mutable std::uint64_t _ctxSumBase = 0;
     /** Smallest true outputLen - generated over the batch (valid
      *  iff _steadyValid). */
-    mutable std::uint32_t _minRem = 0;
-    mutable bool _steadyValid = false;
+    std::uint32_t _minRem = 0;
+    bool _steadyValid = false;
 
     /** Fold _genShift into _batch.generated (no observable-state
      *  change: every true value is preserved). */
     void syncGen() const;
-    /** Rebuild _ctxSumBase/_minRem from the (synced) columns. */
-    void refreshSteady() const;
-    /** Batch context-length sum, O(1) in steady-state decode;
-     *  bit-identical to BatchState::ctxSum() (integer arithmetic,
-     *  shift folded algebraically). */
-    std::uint64_t steadyCtxSum() const;
-
-    /**
-     * Direct-mapped memo of decode-phase plans, keyed by
-     * (decodeRlp, fcTokens, ctxSum). Sound because every cost the
-     * entry caches is a pure function of that key and of state
-     * fixed at construction: the dispatch rules depend on RLP/TLP/
-     * tokens only (Static pins, Threshold is arithmetic, Oracle
-     * races fcExec over tokens), the platform's attention cost
-     * reduces the context vector to integer aggregates (sum, count)
-     * before any floating-point work, and the TP cost transform is
-     * token-count arithmetic. A hit therefore returns bitwise the
-     * values a recompute would - steady-state decode turns the
-     * whole plan pass into one vectorized context sum plus a table
-     * probe. Collisions simply overwrite (direct-mapped).
-     */
-    struct PlanMemoEntry
-    {
-        std::uint64_t key1 = ~0ULL; ///< decodeRlp<<32 | fcTokens.
-        std::uint64_t key2 = 0;     ///< Context-length sum.
-        DispatchDecision decision;
-        IterationTiming timing;
-    };
-    mutable std::vector<PlanMemoEntry> _planMemo;
-    /** Slot index for a (rlp, tokens, ctx_sum) key. */
-    std::size_t planMemoSlot(std::uint64_t key1,
-                             std::uint64_t key2) const;
+    /** Rebuild _minRem from the (synced) columns. */
+    void refreshSteady();
 
     ServingResult _out;
 };

@@ -425,8 +425,9 @@ TEST(SoaDiff, SeededGridFuzz)
 /**
  * Serve @p episodes re-deliveries of @p episode on a fresh @p Sim
  * (each shifted past the previous drain, with fresh ids, so every
- * episode walks the same batch trajectory and repeats hit the plan
- * memo); @p wall receives the host seconds of the serving loop.
+ * episode walks the same batch trajectory and repeats hit the
+ * platform's kernel-cost memo); @p wall receives the host seconds of
+ * the serving loop.
  */
 template <typename Sim>
 ServingResult

@@ -4,10 +4,15 @@
  *
  * PR 8's scratch-hoisting contract: once the batch is formed and the
  * per-platform kernel memos are warm, a decode iteration performs
- * ZERO heap allocations - the chunk plans, context refills, plan
- * memo and advance/retire passes all run in preallocated storage.
- * This test instruments the global allocator (this binary only) and
- * counts allocations across a long no-retirement decode window.
+ * ZERO heap allocations - the chunk plans, context refills and
+ * advance/retire passes all run in preallocated storage. This test
+ * instruments the global allocator (this binary only) and counts
+ * allocations across a long no-retirement decode window.
+ *
+ * Constructing a ServingSim allocates only its per-batch scratch, so
+ * the same probe bounds its bytes: per-replica state must not grow
+ * back into a fixed per-simulator table (64 replicas each holding
+ * one would dominate a fleet's resident memory).
  *
  * The platform kernel memos key on (context sum, batch size), which
  * change every iteration, so a first run over the workload warms
@@ -36,14 +41,17 @@ namespace {
 
 bool g_counting = false;
 std::uint64_t g_allocCount = 0;
+std::uint64_t g_allocBytes = 0;
 
 } // namespace
 
 void *
 operator new(std::size_t size)
 {
-    if (g_counting)
+    if (g_counting) {
         ++g_allocCount;
+        g_allocBytes += size;
+    }
     if (void *p = std::malloc(size ? size : 1))
         return p;
     throw std::bad_alloc();
@@ -196,6 +204,27 @@ TEST(ServingZeroAlloc, ChunkedSteadyStateDecodeDoesNotAllocate)
         sim.step();
     ServingResult r = sim.finish();
     EXPECT_EQ(r.tokensGenerated, 16ull * 512ull);
+}
+
+TEST(ServingZeroAlloc, ConstructionStaysUnderAllocationBudget)
+{
+    Platform papi(makePapiConfig());
+    const llm::ModelConfig model = llm::llama65b();
+    ServingOptions opt;
+    opt.maxRlp = 16;
+
+    g_allocCount = 0;
+    g_allocBytes = 0;
+    g_counting = true;
+    {
+        ServingSim sim(papi, {}, model, opt);
+        g_counting = false;
+        EXPECT_FALSE(sim.hasActive());
+    }
+    g_counting = false;
+    EXPECT_LT(g_allocBytes, 64u * 1024u)
+        << "constructing a maxRlp = 16 ServingSim allocated "
+        << g_allocBytes << " bytes in " << g_allocCount << " blocks";
 }
 
 // ----------------------------------------------- sim::EventQueue
