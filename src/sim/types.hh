@@ -55,10 +55,9 @@ secondsToTicks(double s)
     return static_cast<Tick>(s * static_cast<double>(oneSec) + 0.5);
 }
 
-/** Bytes in a kibibyte / mebibyte / gibibyte. */
-constexpr std::uint64_t KiB = 1024;
-constexpr std::uint64_t MiB = 1024 * KiB;
-constexpr std::uint64_t GiB = 1024 * MiB;
+constexpr std::uint64_t KiB = 1024;       ///< Bytes in a kibibyte.
+constexpr std::uint64_t MiB = 1024 * KiB; ///< Bytes in a mebibyte.
+constexpr std::uint64_t GiB = 1024 * MiB; ///< Bytes in a gibibyte.
 
 } // namespace papi::sim
 

@@ -9,9 +9,12 @@ gate; the other half builds real Doxygen with warnings-as-errors
 (docs/Doxyfile) and subsumes this check when available.
 
 Usage:
-    tools/check_doxygen_comments.py src/core src/cluster [...]
+    tools/check_doxygen_comments.py src/core src/sim/flat_memo.hh [...]
 
-Exit status 1 if any undocumented declaration is found.
+Each argument is a directory (every ``*.hh`` below it is checked) or
+a single ``.hh`` file. Exit status 1 if any undocumented declaration
+is found, 2 if an argument names no header at all (a missing path, a
+non-header file, or a directory without headers).
 """
 
 import re
@@ -163,16 +166,30 @@ def check_header(path: Path) -> list:
     return problems
 
 
+def headers(arg: str) -> list:
+    """The headers an argument names: itself, or those below it."""
+    path = Path(arg)
+    if path.is_file():
+        return [path] if path.suffix == ".hh" else []
+    return sorted(path.glob("**/*.hh"))
+
+
 def main(argv):
     if len(argv) < 2:
         print(__doc__)
         return 2
+    paths = []
+    for arg in argv[1:]:
+        found = headers(arg)
+        if not found:
+            print(f"{arg}: no .hh header here", file=sys.stderr)
+            return 2
+        paths.extend(found)
     failures = 0
-    for root in argv[1:]:
-        for path in sorted(Path(root).glob("**/*.hh")):
-            for lineno, snippet in check_header(path):
-                print(f"{path}:{lineno}: undocumented: {snippet}")
-                failures += 1
+    for path in paths:
+        for lineno, snippet in check_header(path):
+            print(f"{path}:{lineno}: undocumented: {snippet}")
+            failures += 1
     if failures:
         print(f"\n{failures} undocumented public declaration(s)")
         return 1
