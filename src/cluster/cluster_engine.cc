@@ -262,7 +262,7 @@ ClusterEngine::runImpl(
     const core::RouteFn route =
         [&](const llm::TimedRequest &request) {
             for (std::uint32_t g = 0; g < route_width; ++g) {
-                loads[g].outstanding = sims[g]->outstanding();
+                loads[g].outstanding = driver.outstanding(g);
                 // Prefill replicas retire work synchronously (each
                 // completed prompt hands off inside admit), so
                 // outstanding alone cannot see a mid-prefill
@@ -287,6 +287,8 @@ ClusterEngine::runImpl(
 
     ClusterResult out;
     out.numGroups = _numGroups;
+    out.inlineWindows = driver.timeline().inlineWindows();
+    out.pooledWindows = driver.timeline().pooledWindows();
     out.perGroup.reserve(_numGroups);
     out.groupUtilization.resize(_numGroups, 0.0);
     out.groupNames.reserve(_numGroups);

@@ -262,6 +262,13 @@ struct ClusterResult
      */
     bool statsTruncated = false;
 
+    /** Parallel windows that ran wholly on the coordinator thread,
+     *  and those handed to the worker pool (see
+     *  sim::ParallelTimeline). Deterministic at a given worker
+     *  count; every window is inline at one worker. */
+    std::uint64_t inlineWindows = 0;
+    std::uint64_t pooledWindows = 0; ///< See inlineWindows.
+
     /** Cluster decode throughput over the makespan. */
     double
     throughputTokensPerSecond() const

@@ -132,7 +132,7 @@ FaultInjector::resubmit(const llm::TimedRequest &request,
     for (std::uint32_t g = 0; g < width; ++g) {
         if (_driver.isDown(g))
             continue;
-        const std::uint64_t load = _driver.replica(g).outstanding();
+        const std::uint64_t load = _driver.outstanding(g);
         if (load < best_load) {
             best = g;
             best_load = load;

@@ -49,13 +49,11 @@ TargetRegistry::add(ExecTarget target)
     return static_cast<TargetId>(_targets.size() - 1);
 }
 
-const ExecTarget &
-TargetRegistry::at(TargetId id) const
+void
+TargetRegistry::badId(TargetId id) const
 {
-    if (id >= _targets.size())
-        sim::fatal("TargetRegistry: bad target id ", id, " (have ",
-                   _targets.size(), " targets)");
-    return _targets[id];
+    sim::fatal("TargetRegistry: bad target id ", id, " (have ",
+               _targets.size(), " targets)");
 }
 
 std::optional<TargetId>

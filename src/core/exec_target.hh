@@ -122,7 +122,13 @@ class TargetRegistry
     }
 
     /** The target with id @p id; fatal if out of range. */
-    const ExecTarget &at(TargetId id) const;
+    const ExecTarget &
+    at(TargetId id) const
+    {
+        if (id >= _targets.size()) [[unlikely]]
+            badId(id);
+        return _targets[id];
+    }
 
     /** Id of the target named @p name, if registered. */
     std::optional<TargetId> find(std::string_view name) const;
@@ -140,6 +146,9 @@ class TargetRegistry
     const std::vector<ExecTarget> &all() const { return _targets; }
 
   private:
+    /** at()'s out-of-range diagnostic, kept out of line. */
+    [[noreturn]] void badId(TargetId id) const;
+
     std::vector<ExecTarget> _targets;
 };
 

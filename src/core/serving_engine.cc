@@ -113,6 +113,7 @@ ServingSim::deliver(const llm::TimedRequest &request)
     }
     _lastDelivered = request.arrivalSeconds;
     _pending.push_back({request, request.arrivalSeconds});
+    publishLoad();
 }
 
 void
@@ -136,6 +137,7 @@ ServingSim::redeliver(const llm::TimedRequest &request,
     }
     _lastDelivered = ready_seconds;
     _pending.push_back({request, ready_seconds});
+    publishLoad();
 }
 
 void
@@ -156,6 +158,7 @@ ServingSim::deliverPrefilled(const llm::TimedRequest &request,
     }
     _lastDelivered = ready_seconds;
     _pendingPrefilled.push_back({request, ready_seconds, kv_tokens});
+    publishLoad();
 }
 
 std::vector<HandoffRecord>
@@ -256,6 +259,7 @@ ServingSim::crash(double when)
     _pending.clear();
     _planValid = false;
     _now = std::max(_now, when);
+    publishLoad();
     return lost;
 }
 
@@ -648,6 +652,7 @@ ServingSim::admit()
     if (admitted > 0)
         _out.admissions += admitted;
     _out.resumes += resumed;
+    publishLoad();
     return admitted + resumed;
 }
 
@@ -1041,6 +1046,7 @@ ServingSim::stepDecode()
 {
     if (_batch.empty())
         sim::panic("ServingSim::stepDecode without a batch");
+    const std::size_t batch_before = _batch.size();
     // Per-iteration decisions are stateless threshold checks, so the
     // plan a driver peeked is the plan executed here. refreshPlan
     // also refilled _chunkPlan (via planIteration), which the mixed
@@ -1197,6 +1203,10 @@ ServingSim::stepDecode()
     // instead of letting them join the decode set.
     if (_role == ServingRole::Prefill)
         handoffCompletedPrefills();
+    // Retirement, handoff and preemption all shrink the batch;
+    // nothing else here changes the outstanding count.
+    if (_batch.size() != batch_before)
+        publishLoad();
 }
 
 void

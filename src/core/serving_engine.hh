@@ -568,6 +568,11 @@ class ServingSim
                AiEstimateFn fc_estimator = {},
                StaticBatchMode static_mode = {});
 
+    /** A copy would publish its load into the original's slot. */
+    ServingSim(const ServingSim &) = delete;
+    /** A copy would publish its load into the original's slot. */
+    ServingSim &operator=(const ServingSim &) = delete;
+
     /**
      * Append @p request to the pending queue. Deliveries must be in
      * non-decreasing arrival order; the first delivery anchors the
@@ -640,12 +645,20 @@ class ServingSim
     bool canStep() const { return hasActive() || hasPending(); }
 
     /** Live plus queued requests (the router's load signal). */
-    std::uint32_t
-    outstanding() const
+    std::uint32_t outstanding() const { return *_loadSlot; }
+
+    /**
+     * Keep outstanding() in @p slot from now on (written at once and
+     * after every call that changes it): a cluster driver points each
+     * replica at its own slot of one flat array, so a routing scan
+     * reads that array instead of every replica. nullptr returns to
+     * the sim's own slot. @p slot must outlive its use here.
+     */
+    void
+    publishLoadTo(std::uint32_t *slot)
     {
-        return static_cast<std::uint32_t>(
-            _batch.size() + _pending.size() +
-            _pendingPrefilled.size() + _preempted.size());
+        _loadSlot = slot ? slot : &_ownLoad;
+        publishLoad();
     }
 
     /** The admission/scheduling options this sim runs under. */
@@ -1033,7 +1046,19 @@ class ServingSim
     /** Rebuild _minRem from the (synced) columns. */
     void refreshSteady();
 
+    /** Write the live plus queued count to the load slot; every
+     *  public call that can change it ends here. */
+    void
+    publishLoad()
+    {
+        *_loadSlot = static_cast<std::uint32_t>(
+            _batch.size() + _pending.size() +
+            _pendingPrefilled.size() + _preempted.size());
+    }
+
     ServingResult _out;
+    std::uint32_t _ownLoad = 0;           ///< The default load slot.
+    std::uint32_t *_loadSlot = &_ownLoad; ///< See publishLoadTo.
 };
 
 /** Arrival-driven serving simulator over one platform. */

@@ -21,6 +21,15 @@ ServingEventDriver::ServingEventDriver(std::vector<ServingSim *> sims)
     _deadlineArmed.assign(_sims.size(), 0);
     _down.assign(_sims.size(), 0);
     _boundaryGen.assign(_sims.size(), 0);
+    _outstanding.assign(_sims.size(), 0);
+    for (std::uint32_t g = 0; g < _sims.size(); ++g)
+        _sims[g]->publishLoadTo(&_outstanding[g]);
+}
+
+ServingEventDriver::~ServingEventDriver()
+{
+    for (ServingSim *s : _sims)
+        s->publishLoadTo(nullptr);
 }
 
 void
@@ -137,7 +146,7 @@ ServingEventDriver::pickDecodeReplica() const
     for (std::uint32_t d = _topology.prefillReplicas;
          d < _sims.size(); ++d) {
         const std::uint64_t load =
-            _sims[d]->outstanding() + _inFlightTo[d];
+            std::uint64_t{_outstanding[d]} + _inFlightTo[d];
         if (load < best_load) {
             best = d;
             best_load = load;
@@ -156,7 +165,7 @@ ServingEventDriver::pickAliveDecodeReplica() const
         if (_down[d])
             continue;
         const std::uint64_t load =
-            _sims[d]->outstanding() + _inFlightTo[d];
+            std::uint64_t{_outstanding[d]} + _inFlightTo[d];
         if (load < best_load) {
             best = d;
             best_load = load;

@@ -117,6 +117,8 @@ class ServingEventDriver
      *        outlive the driver. At least one.
      */
     explicit ServingEventDriver(std::vector<ServingSim *> sims);
+    /** Points the replicas back at their own load slots. */
+    ~ServingEventDriver();
 
     /**
      * Split the replicas into a prefill and a decode pool (see
@@ -228,6 +230,23 @@ class ServingEventDriver
     {
         return _down[g];
     }
+
+    /**
+     * Replica @p g's live plus queued requests (its
+     * ServingSim::outstanding()): the load routers read. Every
+     * replica publishes into its own slot of one flat array (see
+     * ServingSim::publishLoadTo), so a barrier-time scan reads that
+     * array instead of every ServingSim. Read it in coordinator
+     * context, where every shard is quiescent.
+     */
+    std::uint32_t
+    outstanding(std::uint32_t g) const
+    {
+        return _outstanding[g];
+    }
+
+    /** The window scheduler (for its inline/pooled window counts). */
+    const sim::ParallelTimeline &timeline() const { return _timeline; }
 
     /** Number of replicas on this driver. */
     std::size_t replicaCount() const { return _sims.size(); }
@@ -463,6 +482,9 @@ class ServingEventDriver
     /** Per-replica boundary generation: bumped at crash so a
      *  scheduled boundary of the dead batch no-ops. */
     std::vector<std::uint64_t> _boundaryGen;
+    /** Per-replica load slots (see outstanding()); each written only
+     *  by its own replica. Sized once: the replicas hold pointers. */
+    std::vector<std::uint32_t> _outstanding;
 
     bool _disagg = false;       ///< Disaggregated topology active.
     DisaggTopology _topology;

@@ -61,7 +61,7 @@ EventQueue::peekNextKey(Tick &when, Priority &prio) const
 bool
 EventQueue::tryRunInline(Tick when, Priority prio)
 {
-    if (!_draining || when < _now)
+    if (!_draining || when < _now || _executed >= _drainStop)
         return false;
     if (when > _drainWhen || (when == _drainWhen && prio >= _drainPrio))
         return false;
@@ -75,8 +75,8 @@ EventQueue::tryRunInline(Tick when, Priority prio)
     return true;
 }
 
-void
-EventQueue::drain(Tick when, std::int64_t prio)
+bool
+EventQueue::drain(Tick when, std::int64_t prio, std::uint64_t budget)
 {
     // Restores the enclosing drain's bound (if any) on every exit,
     // including a closure's throw.
@@ -86,35 +86,42 @@ EventQueue::drain(Tick when, std::int64_t prio)
         bool draining;
         Tick when;
         std::int64_t prio;
+        std::uint64_t stop;
         ~BoundGuard()
         {
             q._draining = draining;
             q._drainWhen = when;
             q._drainPrio = prio;
+            q._drainStop = stop;
         }
-    } guard{*this, _draining, _drainWhen, _drainPrio};
+    } guard{*this, _draining, _drainWhen, _drainPrio, _drainStop};
     _draining = true;
     _drainWhen = when;
     _drainPrio = prio;
+    _drainStop = budget > ~_executed ? ~std::uint64_t{0}
+                                     : _executed + budget;
 
     while (!_heap.empty()) {
         const Key &head = _heap.front();
         if (head.when > when || (head.when == when && head.prio >= prio))
-            break;
+            return false;
+        if (_executed >= _drainStop)
+            return true;
         dispatchHead();
     }
+    return false;
 }
 
-void
-EventQueue::runUntilKey(Tick when, Priority prio)
+bool
+EventQueue::runUntilKey(Tick when, Priority prio, std::uint64_t budget)
 {
-    drain(when, prio);
+    return drain(when, prio, budget);
 }
 
 Tick
 EventQueue::run(Tick horizon)
 {
-    drain(horizon, kAfterAnyPriority);
+    drain(horizon, kAfterAnyPriority, ~std::uint64_t{0});
     return _now;
 }
 

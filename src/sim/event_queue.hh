@@ -153,8 +153,20 @@ class EventQueue
      * the next cross-shard event's key. now() is left at the last
      * executed event, so later schedules between now() and the bound
      * remain legal.
+     *
+     * @p budget caps the events this call executes, counted like
+     * executed(): once it is spent, tryRunInline() refuses, so an
+     * event that would have run its successor inline schedules it
+     * instead, and the call returns before the next dispatch. The
+     * executed order is unchanged, and a later call with the same
+     * bound continues exactly where this one stopped.
+     *
+     * @retval true the budget ran out with events still below the
+     *         bound.
+     * @retval false every event below the bound has run.
      */
-    void runUntilKey(Tick when, Priority prio);
+    bool runUntilKey(Tick when, Priority prio,
+                     std::uint64_t budget = ~std::uint64_t{0});
 
     /**
      * Execute an event at (@p when, @p prio) in place instead of
@@ -163,7 +175,8 @@ class EventQueue
      * provably the next one this queue would execute:
      *
      *  - the call comes from a closure inside a run() / runUntilKey()
-     *    drain (never under step(), which has no bound to check);
+     *    drain (never under step(), which has no bound to check)
+     *    whose event budget is not yet spent;
      *  - @p when >= now();
      *  - (@p when, @p prio) is strictly below the drain bound (for
      *    run(horizon): @p when <= horizon);
@@ -210,8 +223,9 @@ class EventQueue
 
     /** Pop the head, advance time and run it (requires !empty()). */
     void dispatchHead();
-    /** Run every event strictly below (@p when, @p prio). */
-    void drain(Tick when, std::int64_t prio);
+    /** Run events strictly below (@p when, @p prio), at most
+     *  @p budget of them; true if the budget stopped the run. */
+    bool drain(Tick when, std::int64_t prio, std::uint64_t budget);
 
     [[noreturn]] void pastPanic(Tick when) const;
     [[noreturn]] void nullPanic(Tick when) const;
@@ -228,10 +242,12 @@ class EventQueue
     std::vector<std::uint32_t> _free;
 
     /** True while a drain() dispatches (see tryRunInline()); its
-     *  exclusive bound is (_drainWhen, _drainPrio). */
+     *  exclusive bound is (_drainWhen, _drainPrio), and it stops
+     *  once executed() reaches _drainStop (its budget). */
     bool _draining = false;
     Tick _drainWhen = 0;
     std::int64_t _drainPrio = 0;
+    std::uint64_t _drainStop = ~std::uint64_t{0};
 };
 
 /**

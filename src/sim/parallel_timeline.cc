@@ -1,8 +1,50 @@
 #include "sim/parallel_timeline.hh"
 
+#include <utility>
+
 #include "sim/logging.hh"
 
 namespace papi::sim {
+
+namespace {
+
+// WorkerPool's claim word: [generation | task count | next index].
+constexpr unsigned kIndexBits = 20;
+constexpr std::uint64_t kIndexMask = (std::uint64_t{1} << kIndexBits) - 1;
+constexpr std::uint64_t kGenMask = (std::uint64_t{1} << 24) - 1;
+
+std::uint64_t
+claimCount(std::uint64_t word)
+{
+    return (word >> kIndexBits) & kIndexMask;
+}
+
+std::uint64_t
+claimGeneration(std::uint64_t word)
+{
+    return word >> (2 * kIndexBits);
+}
+
+/** Polls of the claim word an idle worker makes before it parks:
+ *  a pooled window that follows closely finds it awake, while a
+ *  long inline stretch leaves it asleep instead of stealing cycles
+ *  from the coordinator. */
+constexpr int kWorkerSpins = 256;
+/** Polls the caller makes for straggling tasks before it blocks. */
+constexpr int kCallerSpins = 16384;
+
+/** Spin-wait hint to the CPU (a no-op where there is none). */
+inline void
+cpuRelax()
+{
+#if defined(__x86_64__) || defined(__i386__)
+    __builtin_ia32_pause();
+#elif defined(__aarch64__)
+    asm volatile("yield");
+#endif
+}
+
+} // namespace
 
 // ---------------------------------------------------------------------
 // WorkerPool
@@ -11,9 +53,6 @@ namespace papi::sim {
 WorkerPool::WorkerPool(unsigned workers)
     : _workers(workers == 0 ? 1 : workers)
 {
-    _threads.reserve(_workers - 1);
-    for (unsigned t = 1; t < _workers; ++t)
-        _threads.emplace_back([this] { workerLoop(); });
 }
 
 WorkerPool::~WorkerPool()
@@ -28,85 +67,112 @@ WorkerPool::~WorkerPool()
 }
 
 void
+WorkerPool::start()
+{
+    _threads.reserve(_workers - 1);
+    for (unsigned t = 1; t < _workers; ++t)
+        _threads.emplace_back([this] { workerLoop(); });
+}
+
+std::uint64_t
 WorkerPool::drainTasks()
 {
+    std::uint64_t word = _claim.load(std::memory_order_acquire);
     for (;;) {
-        std::size_t i;
-        std::vector<std::function<void()>> *tasks;
-        {
-            std::lock_guard<std::mutex> lock(_mutex);
-            tasks = _tasks;
-            if (!tasks || _next >= tasks->size())
-                return;
-            i = _next++;
-        }
+        const std::uint64_t count = claimCount(word);
+        const std::uint64_t i = word & kIndexMask;
+        if (i >= count)
+            return word;
+        // A failed exchange reloads the word; a won one owns task i
+        // of the batch the word names, whose body cannot change
+        // before that task finishes.
+        if (!_claim.compare_exchange_weak(word, word + 1,
+                                          std::memory_order_acq_rel,
+                                          std::memory_order_acquire))
+            continue;
         try {
-            (*tasks)[i]();
+            _fn(_ctx, i);
         } catch (...) {
-            // Disjoint slot per task; published to the coordinator
-            // by the _finished increment below.
-            _errors[i] = std::current_exception();
-        }
-        bool last;
-        {
             std::lock_guard<std::mutex> lock(_mutex);
-            ++_finished;
-            last = _finished == tasks->size();
+            if (!_error || i < _errorIndex) {
+                _errorIndex = i;
+                _error = std::current_exception();
+            }
         }
-        if (last)
+        if (_finished.fetch_add(1, std::memory_order_acq_rel) + 1 ==
+            count) {
+            std::lock_guard<std::mutex> lock(_mutex);
             _done.notify_one();
+        }
+        word = _claim.load(std::memory_order_acquire);
     }
 }
 
 void
 WorkerPool::workerLoop()
 {
-    std::uint64_t seen = 0;
     for (;;) {
-        {
-            std::unique_lock<std::mutex> lock(_mutex);
-            _wake.wait(lock, [&] {
-                return _stop || _batch != seen;
-            });
-            if (_stop)
-                return;
-            seen = _batch;
-        }
-        drainTasks();
+        const std::uint64_t seen = drainTasks();
+        for (int spin = 0; spin < kWorkerSpins &&
+                           _claim.load(std::memory_order_relaxed) == seen;
+             ++spin)
+            cpuRelax();
+        std::unique_lock<std::mutex> lock(_mutex);
+        _wake.wait(lock, [&] {
+            return _stop ||
+                   _claim.load(std::memory_order_relaxed) != seen;
+        });
+        if (_stop)
+            return;
     }
 }
 
 void
-WorkerPool::runTasks(std::vector<std::function<void()>> &tasks)
+WorkerPool::runBatch(std::size_t count, TaskFn fn, const void *ctx)
 {
-    if (tasks.empty())
-        return;
-    if (_workers <= 1) {
-        for (auto &t : tasks)
-            t();
+    if (_workers <= 1 || count <= 1) {
+        for (std::size_t i = 0; i < count; ++i)
+            fn(ctx, i);
         return;
     }
-    _errors.assign(tasks.size(), nullptr);
+    if (count > kIndexMask)
+        panic("WorkerPool: batch of ", count, " tasks exceeds ",
+              kIndexMask);
+    if (_threads.empty())
+        start();
+    // Every task of the previous batch has finished, so no executor
+    // reads these until the claim word below publishes them.
+    _fn = fn;
+    _ctx = ctx;
+    _error = nullptr;
+    _finished.store(0, std::memory_order_relaxed);
+    const std::uint64_t gen =
+        (claimGeneration(_claim.load(std::memory_order_relaxed)) + 1) &
+        kGenMask;
     {
+        // Under the mutex, so a worker between its last poll and its
+        // wait cannot miss the change.
         std::lock_guard<std::mutex> lock(_mutex);
-        _tasks = &tasks;
-        _next = 0;
-        _finished = 0;
-        ++_batch;
+        _claim.store((gen << (2 * kIndexBits)) | (count << kIndexBits),
+                     std::memory_order_release);
     }
     _wake.notify_all();
     drainTasks();
-    {
+    for (int spin = 0;
+         spin < kCallerSpins &&
+         _finished.load(std::memory_order_acquire) != count;
+         ++spin)
+        cpuRelax();
+    if (_finished.load(std::memory_order_acquire) != count) {
         std::unique_lock<std::mutex> lock(_mutex);
-        _done.wait(lock, [&] { return _finished == tasks.size(); });
-        _tasks = nullptr;
+        _done.wait(lock, [&] {
+            return _finished.load(std::memory_order_acquire) == count;
+        });
     }
     // Deterministic error selection: the lowest failing task index
     // wins regardless of real-time completion order.
-    for (std::exception_ptr &e : _errors) {
-        if (e)
-            std::rethrow_exception(e);
-    }
+    if (_error)
+        std::rethrow_exception(std::exchange(_error, nullptr));
 }
 
 // ---------------------------------------------------------------------
@@ -150,25 +216,37 @@ ParallelTimeline::advanceShards(Tick when, Priority prio,
     }
     if (_ready.empty())
         return;
-    if (!pool || pool->workers() <= 1 || _ready.size() == 1) {
+    const bool can_pool = pool && pool->workers() > 1;
+    if (bounded && can_pool) {
+        // Short windows stay on the coordinator: each ready shard
+        // runs up to the budget here, and only shards that still hold
+        // events below the edge are worth a worker.
+        std::size_t long_shards = 0;
+        for (std::uint32_t s : _ready) {
+            if (_shards[s]->runUntilKey(when, prio, kInlineEventBudget))
+                _ready[long_shards++] = s;
+        }
+        _ready.resize(long_shards);
+    }
+    if (!can_pool || _ready.size() < 2) {
         for (std::uint32_t s : _ready) {
             if (bounded)
                 _shards[s]->runUntilKey(when, prio);
             else
                 _shards[s]->run();
         }
+        ++_inlineWindows;
         return;
     }
-    _tasks.clear();
-    for (std::uint32_t s : _ready) {
-        EventQueue *q = _shards[s].get();
+    ++_pooledWindows;
+    pool->forEach(_ready.size(), [this, when, prio,
+                                  bounded](std::size_t i) {
+        EventQueue &q = *_shards[_ready[i]];
         if (bounded)
-            _tasks.push_back(
-                [q, when, prio] { q->runUntilKey(when, prio); });
+            q.runUntilKey(when, prio);
         else
-            _tasks.push_back([q] { q->run(); });
-    }
-    pool->runTasks(_tasks);
+            q.run();
+    });
 }
 
 void

@@ -321,20 +321,40 @@ TEST(ParallelIdentity, DifferentialGridMatchesSerialByteForByte)
     constexpr std::uint32_t kSamples = 54;
     constexpr unsigned kWorkerCounts[3] = {2, 4, 8};
 
+    // Fault and disaggregation samples that took a pooled window at
+    // 2 workers, of all such samples.
+    std::uint32_t fault_pooled = 0, fault_total = 0;
+    std::uint32_t disagg_pooled = 0, disagg_total = 0;
     for (std::uint32_t i = 0; i <= kSamples; ++i) {
         const GridSample s = i < kSamples ? makeSample(i, model, cfg)
                                           : fleet64Sample(model, cfg);
         SCOPED_TRACE(s.name);
         const ClusterResult serial = runSample(s, 1, model, cfg);
         const std::uint64_t serial_hash = timelineHash(serial.records);
+        EXPECT_EQ(serial.pooledWindows, 0u);
+        const bool faults = !s.options.faults.empty();
+        const bool disagg = s.options.disagg.enabled;
+        fault_total += faults;
+        disagg_total += disagg;
         for (unsigned workers : kWorkerCounts) {
             SCOPED_TRACE("workers=" + std::to_string(workers));
             const ClusterResult parallel =
                 runSample(s, workers, model, cfg);
             expectClusterByteIdentical(serial, parallel);
             EXPECT_EQ(serial_hash, timelineHash(parallel.records));
+            if (workers == 2 && parallel.pooledWindows > 0) {
+                fault_pooled += faults;
+                disagg_pooled += disagg;
+            }
         }
     }
+    // Most windows of these small runs are short and stay on the
+    // coordinator; the long ones must still reach the pool in most
+    // fault and disaggregation samples, so concurrent windows (and
+    // the sanitizer jobs that watch them) keep covering those
+    // barrier paths. The counts are deterministic.
+    EXPECT_GE(2 * fault_pooled, fault_total);
+    EXPECT_GE(2 * disagg_pooled, disagg_total);
 }
 
 // More workers than replicas (and a prime, misaligned count) must

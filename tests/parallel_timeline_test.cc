@@ -2,8 +2,9 @@
  * @file
  * Unit tests for the conservative parallel window scheduler:
  * EventQueue key peeking and bounded draining, WorkerPool batch
- * execution and deterministic exception selection, ParallelTimeline
- * window ordering against a recorded serial schedule, and the
+ * execution, lazy start and deterministic exception selection,
+ * ParallelTimeline window ordering against a recorded serial
+ * schedule, who runs a window (coordinator or pool), and the
  * committed-window-edge tripwire (an event scheduled into the
  * committed past must panic, never silently reorder).
  */
@@ -11,8 +12,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <functional>
 #include <limits>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "sim/event_queue.hh"
@@ -80,6 +85,52 @@ TEST(EventQueuePeek, RunUntilKeyStopsStrictlyBelowTheBound)
     EXPECT_EQ(order, (std::vector<int>{0, 1, 4, 2, 3}));
 }
 
+TEST(EventQueuePeek, BudgetedRunUntilKeyResumesWhereItStopped)
+{
+    EventQueue q;
+    std::vector<int> order;
+    for (int i = 0; i < 5; ++i)
+        q.schedule(10 + i, [&order, i] { order.push_back(i); });
+    q.schedule(40, [&] { order.push_back(9); }); // past the bound
+
+    EXPECT_TRUE(q.runUntilKey(30, 0, 2)); // budget ran out
+    EXPECT_EQ(order, (std::vector<int>{0, 1}));
+    EXPECT_TRUE(q.runUntilKey(30, 0, 2));
+    // Exactly the budget left below the bound: nothing remains.
+    EXPECT_FALSE(q.runUntilKey(30, 0, 1));
+    EXPECT_FALSE(q.runUntilKey(30, 0, 2));
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+    EXPECT_EQ(q.pending(), 1u);
+}
+
+TEST(EventQueuePeek, SpentBudgetRefusesInlineRuns)
+{
+    // A chain that runs each successor inline while the queue lets
+    // it, and schedules it otherwise: under a budget of 3 the third
+    // link finds the budget spent and schedules the fourth, which
+    // the next call runs - the same order, one round trip later.
+    EventQueue q;
+    std::vector<Tick> ran;
+    std::function<void(Tick)> link = [&](Tick t) {
+        for (;;) {
+            ran.push_back(t);
+            if (t == 15)
+                return;
+            ++t;
+            if (!q.tryRunInline(t, 0)) {
+                q.schedule(t, [&link, t] { link(t); });
+                return;
+            }
+        }
+    };
+    q.schedule(10, [&] { link(10); });
+    EXPECT_TRUE(q.runUntilKey(100, 0, 3));
+    EXPECT_EQ(ran, (std::vector<Tick>{10, 11, 12}));
+    EXPECT_EQ(q.executed(), 3u);
+    EXPECT_FALSE(q.runUntilKey(100, 0));
+    EXPECT_EQ(ran, (std::vector<Tick>{10, 11, 12, 13, 14, 15}));
+}
+
 TEST(EventQueuePeek, InlineRefusedAtOrPastTheRunUntilKeyBound)
 {
     EventQueue q;
@@ -132,14 +183,14 @@ TEST(WorkerPoolTest, RunsEveryTaskAcrossThreads)
     WorkerPool pool(4);
     EXPECT_EQ(pool.workers(), 4u);
     std::atomic<int> sum{0};
-    std::vector<std::function<void()>> tasks;
-    for (int i = 1; i <= 100; ++i)
-        tasks.push_back([&sum, i] { sum += i; });
-    pool.runTasks(tasks);
+    const auto add = [&sum](std::size_t i) {
+        sum += static_cast<int>(i) + 1;
+    };
+    pool.forEach(100, add);
     EXPECT_EQ(sum.load(), 5050);
 
     // The pool is reusable batch after batch.
-    pool.runTasks(tasks);
+    pool.forEach(100, add);
     EXPECT_EQ(sum.load(), 10100);
 }
 
@@ -147,15 +198,12 @@ TEST(WorkerPoolTest, LowestFailingTaskIndexWinsDeterministically)
 {
     WorkerPool pool(4);
     for (int rep = 0; rep < 10; ++rep) {
-        std::vector<std::function<void()>> tasks;
-        for (int i = 0; i < 16; ++i)
-            tasks.push_back([i] {
+        try {
+            pool.forEach(16, [](std::size_t i) {
                 if (i % 3 == 2) // tasks 2, 5, 8, 11, 14 all throw
                     throw std::runtime_error(
                         "task " + std::to_string(i));
             });
-        try {
-            pool.runTasks(tasks);
             FAIL() << "expected a task exception";
         } catch (const std::runtime_error &e) {
             EXPECT_STREQ(e.what(), "task 2");
@@ -168,10 +216,48 @@ TEST(WorkerPoolTest, SingleWorkerRunsInline)
     WorkerPool pool(1);
     EXPECT_EQ(pool.workers(), 1u);
     int calls = 0;
-    std::vector<std::function<void()>> tasks{[&] { ++calls; },
-                                             [&] { ++calls; }};
-    pool.runTasks(tasks);
+    pool.forEach(2, [&](std::size_t) { ++calls; });
     EXPECT_EQ(calls, 2);
+    EXPECT_FALSE(pool.started());
+}
+
+TEST(WorkerPoolTest, ThreadsStartOnTheFirstMultiTaskBatch)
+{
+    WorkerPool pool(3);
+    EXPECT_FALSE(pool.started());
+    int calls = 0;
+    pool.forEach(1, [&](std::size_t) { ++calls; });
+    EXPECT_EQ(calls, 1);
+    EXPECT_FALSE(pool.started()); // one task runs on the caller
+    std::atomic<int> multi{0};
+    pool.forEach(2, [&](std::size_t) { ++multi; });
+    EXPECT_EQ(multi.load(), 2);
+    EXPECT_TRUE(pool.started());
+}
+
+TEST(WorkerPoolTest, ManySmallBatchesThroughTheParkWakeHandOff)
+{
+    // Thousands of two- and three-task batches, with pauses that let
+    // the workers park between some of them: every task of every
+    // batch runs exactly once, and each batch's writes are visible
+    // to the caller when forEach returns.
+    WorkerPool pool(3);
+    std::vector<std::uint64_t> slots(3, 0);
+    std::uint64_t expect = 0;
+    for (std::uint64_t b = 0; b < 4000; ++b) {
+        const std::size_t n = 2 + b % 2;
+        pool.forEach(n, [&slots, b](std::size_t i) {
+            slots[i] += b + i;
+        });
+        for (std::size_t i = 0; i < n; ++i)
+            expect += b + i;
+        if (b % 500 == 0)
+            std::this_thread::sleep_for(std::chrono::milliseconds(2));
+        std::uint64_t sum = 0;
+        for (std::uint64_t v : slots)
+            sum += v;
+        ASSERT_EQ(sum, expect) << "batch " << b;
+    }
 }
 
 // ------------------------------------------------------------------
@@ -231,6 +317,62 @@ TEST(ParallelTimelineTest, WindowsPreserveTheSerialOrder)
 
     WorkerPool pool(4);
     EXPECT_EQ(runMesh(&pool), serial);
+}
+
+TEST(ParallelTimelineTest, OnlyLongWindowsGoToThePool)
+{
+    // Three shards and global events at t=10 and t=600: the window
+    // below t=10 (one event per shard) stays on the coordinator, the
+    // one below t=600 (two shards with 589 events each, more than
+    // the inline budget) is pooled, and so is the unbounded tail
+    // after the last global event.
+    const auto run = [](WorkerPool *pool, std::uint64_t &inl,
+                        std::uint64_t &pooled) {
+        ParallelTimeline tl(3);
+        std::vector<std::vector<Tick>> seen(3);
+        for (std::uint32_t s = 0; s < 3; ++s)
+            tl.shard(s).schedule(1, [&, s] { seen[s].push_back(1); });
+        tl.global().schedule(10, [&] {
+            for (std::uint32_t s = 0; s < 2; ++s) {
+                for (Tick t = 11; t < 1000; ++t)
+                    tl.shard(s).schedule(t, [&, s, t] {
+                        seen[s].push_back(t);
+                    });
+            }
+        });
+        tl.global().schedule(600, [&] {
+            for (std::uint32_t s = 0; s < 3; ++s)
+                tl.shard(s).schedule(2000, [&, s] {
+                    seen[s].push_back(2000);
+                });
+        });
+        tl.run(pool);
+        inl = tl.inlineWindows();
+        pooled = tl.pooledWindows();
+        return seen;
+    };
+    std::uint64_t inl = 0, pooled = 0;
+    const auto serial = run(nullptr, inl, pooled);
+    EXPECT_EQ(inl, 3u);
+    EXPECT_EQ(pooled, 0u);
+    EXPECT_EQ(serial[0].size(), 1u + 989u + 1u);
+    EXPECT_EQ(serial[2], (std::vector<Tick>{1, 2000}));
+
+    WorkerPool pool(2);
+    EXPECT_EQ(run(&pool, inl, pooled), serial);
+    EXPECT_EQ(inl, 1u);
+    EXPECT_EQ(pooled, 2u);
+    EXPECT_TRUE(pool.started());
+
+    // A pool whose windows all stay inline never starts a thread.
+    WorkerPool idle(2);
+    ParallelTimeline tl(2);
+    tl.shard(0).schedule(1, [] {});
+    tl.shard(1).schedule(1, [] {});
+    tl.global().schedule(5, [] {});
+    tl.run(&idle);
+    EXPECT_EQ(tl.inlineWindows(), 1u);
+    EXPECT_FALSE(idle.started());
 }
 
 TEST(ParallelTimelineTest, ShardInlineStopsBelowTheNextGlobalEvent)
